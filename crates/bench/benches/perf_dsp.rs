@@ -155,7 +155,8 @@ fn main() {
     });
 
     // --- mpx_decompose_1s --------------------------------------------------
-    // One second of composite carrying mono audio (every band filter runs).
+    // One second of composite carrying mono audio (mono path plus the
+    // service detector; no pilot or RDS, so no gated band filter runs).
     let mono: Vec<f32> = (0..n_bb * 441 / 2280)
         .map(|i| 0.4 * (std::f64::consts::TAU * 1_000.0 * i as f64 / 44_100.0).sin() as f32)
         .collect();

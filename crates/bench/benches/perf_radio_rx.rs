@@ -107,8 +107,9 @@ fn main() {
     all_pass &= check("fm_demodulate_1s", reference, optimized, enforce(1.5));
 
     // --- mpx_decompose_1s --------------------------------------------------
-    // One second of composite carrying mono audio (worst case: every band
-    // filter runs; no pilot, so the stereo branch is skipped in both paths).
+    // One second of composite carrying mono audio: no pilot and no RDS, so
+    // the service detector skips every gated band filter in both paths and
+    // the ratio compares the mono low-pass + resample.
     let mono: Vec<f32> = (0..n_bb * 441 / 2280)
         .map(|i| 0.4 * (std::f64::consts::TAU * 1_000.0 * i as f64 / 44_100.0).sin() as f32)
         .collect();

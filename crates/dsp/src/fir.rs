@@ -405,131 +405,6 @@ impl BlockFirC {
     }
 }
 
-/// Multi-band FFT overlap-save: one real signal filtered through several
-/// equal-shape [`FirPlan`]s with the forward transforms shared.
-///
-/// Every frame (two real blocks packed into the complex planes, exactly as
-/// [`BlockFir`] packs them) is forward-transformed **once**, then multiplied
-/// by each band's tap spectrum and inverse-transformed per band — `B` bands
-/// cost `1 + B` transforms per frame instead of `2B`. The per-band
-/// arithmetic (frame gathering, spectrum multiply, inverse, scatter) is the
-/// same as a fresh [`BlockFir`] over the same plan, so each band's output is
-/// bit-identical to filtering it separately. The receive-side MPX
-/// decomposer — mono, pilot, and RDS band-selects over one composite — is
-/// the shape this exists for.
-#[derive(Debug, Clone)]
-pub struct FirBank {
-    plans: Vec<Arc<FirPlan>>,
-    /// Shared forward spectra for up to [`BLOCK_FIR_BATCH`] frames.
-    frames: SplitC32,
-    /// Per-band working copy of the spectra.
-    band: SplitC32,
-    /// `(a_start, a_len, b_start, b_len)` for each gathered frame.
-    spans: Vec<(usize, usize, usize, usize)>,
-    ext: Vec<f32>,
-}
-
-impl FirBank {
-    /// Builds a bank over shared plans.
-    ///
-    /// # Panics
-    /// Panics if `plans` is empty or the plans disagree on FFT size or tap
-    /// count (the bank shares one forward transform, so every band must
-    /// gather identical frames).
-    pub fn new(plans: Vec<Arc<FirPlan>>) -> Self {
-        assert!(!plans.is_empty(), "FirBank needs at least one band");
-        let n = plans[0].fft().len();
-        let t = plans[0].taps_len();
-        for p in &plans {
-            assert!(
-                p.fft().len() == n && p.taps_len() == t,
-                "all bank plans must share FFT size and tap count"
-            );
-        }
-        FirBank {
-            plans,
-            frames: SplitC32::new(),
-            band: SplitC32::new(),
-            spans: Vec::with_capacity(BLOCK_FIR_BATCH),
-            ext: Vec::new(),
-        }
-    }
-
-    /// Number of bands in the bank.
-    pub fn bands(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Filters `input` through every band in one pass, appending band `b`'s
-    /// output (`input.len()` samples, starting from silence like a fresh
-    /// [`BlockFir`]) to `outputs[b]`.
-    ///
-    /// # Panics
-    /// Panics if `outputs.len() != self.bands()`.
-    pub fn process_into(&mut self, input: &[f32], outputs: &mut [Vec<f32>]) {
-        assert_eq!(outputs.len(), self.plans.len(), "one output per band");
-        let mut starts = [0usize; 8];
-        assert!(outputs.len() <= starts.len(), "bank limited to 8 bands");
-        for (s, out) in starts.iter_mut().zip(outputs.iter_mut()) {
-            *s = out.len();
-            out.resize(*s + input.len(), 0.0);
-        }
-        if input.is_empty() {
-            return;
-        }
-        let m = self.plans[0].taps_len() - 1;
-        let n = self.plans[0].fft().len();
-        let block = self.plans[0].block();
-        // ext = zero history ++ input; every frame is a contiguous slice.
-        self.ext.resize(m + input.len(), 0.0);
-        self.ext[..m].fill(0.0);
-        self.ext[m..].copy_from_slice(input);
-        let total = input.len();
-        let mut p = 0usize;
-        while p < total {
-            self.spans.clear();
-            let mut q = p;
-            while q < total && self.spans.len() < BLOCK_FIR_BATCH {
-                let a_len = block.min(total - q);
-                let b_start = q + a_len;
-                let b_len = block.min(total.saturating_sub(b_start));
-                // `spans` was built with capacity BLOCK_FIR_BATCH and the
-                // loop guard caps len below it, so this push never allocates.
-                // lint: allow(no-alloc)
-                self.spans.push((q, a_len, b_start, b_len));
-                q = b_start + b_len;
-            }
-            let nb = self.spans.len();
-            self.frames.resize(nb * n);
-            for (f, &(a0, a_len, b0, b_len)) in self.spans.iter().enumerate() {
-                let re = &mut self.frames.re[f * n..(f + 1) * n];
-                let im = &mut self.frames.im[f * n..(f + 1) * n];
-                for i in 0..n {
-                    re[i] = if i < m + a_len { self.ext[a0 + i] } else { 0.0 };
-                    im[i] = if i < m + b_len { self.ext[b0 + i] } else { 0.0 };
-                }
-            }
-            // One forward sweep shared by every band.
-            self.plans[0].fft().forward_batch(&mut self.frames);
-            for (bi, plan) in self.plans.iter().enumerate() {
-                self.band.resize(nb * n);
-                self.band.re.copy_from_slice(&self.frames.re[..nb * n]);
-                self.band.im.copy_from_slice(&self.frames.im[..nb * n]);
-                plan.apply_spectrum(&mut self.band);
-                plan.fft().inverse_batch(&mut self.band);
-                let out = &mut outputs[bi][starts[bi]..];
-                for (f, &(a0, a_len, b0, b_len)) in self.spans.iter().enumerate() {
-                    let re = &self.band.re[f * n..(f + 1) * n];
-                    let im = &self.band.im[f * n..(f + 1) * n];
-                    out[a0..a0 + a_len].copy_from_slice(&re[m..m + a_len]);
-                    out[b0..b0 + b_len].copy_from_slice(&im[m..m + b_len]);
-                }
-            }
-            p = q;
-        }
-    }
-}
-
 /// FIR filter followed by decimation by an integer factor.
 ///
 /// Only the retained output samples are computed: the anti-alias dot product
@@ -807,37 +682,6 @@ mod tests {
             BlockFir::new(&taps).process(&mut got);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert!((g - w).abs() < 1e-4, "taps {taps_len} sample {i}: {g} vs {w}");
-            }
-        }
-    }
-
-    #[test]
-    fn fir_bank_is_bit_identical_to_per_band_block_fir() {
-        use crate::plan::FirPlan;
-        let designs = [
-            design_lowpass(257, 0.07),
-            design_bandpass(257, 0.15, 0.25),
-            design_bandpass(257, 0.38, 0.45),
-        ];
-        let plans: Vec<_> = designs.iter().map(|t| FirPlan::shared(t)).collect();
-        let block = plans[0].block();
-        // Empty, sub-block, exactly one block, odd multi-batch lengths.
-        for len in [0usize, 7, block, 8 * block + 123, 20_001] {
-            let sig = noise(len, len as u32 + 3);
-            let mut bank = FirBank::new(plans.clone());
-            let mut outs = vec![Vec::new(), Vec::new(), Vec::new()];
-            bank.process_into(&sig, &mut outs);
-            for (b, plan) in plans.iter().enumerate() {
-                let mut want = sig.clone();
-                BlockFir::with_plan(Arc::clone(plan)).process(&mut want);
-                assert_eq!(outs[b].len(), want.len(), "len {len} band {b}");
-                for (i, (g, w)) in outs[b].iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "len {len} band {b} sample {i}: {g} vs {w}"
-                    );
-                }
             }
         }
     }

@@ -17,7 +17,6 @@
 //! * [`resample`] — polyphase rational resampler.
 //! * [`osc`] — numerically controlled oscillator and quadrature mixer.
 //! * [`goertzel`] — single-bin DFT power detector (used by the FSK modem).
-//! * [`agc`] — simple feed-forward automatic gain control.
 //! * [`measure`] — power, RMS, dB conversions and SNR estimation helpers.
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).
 //! * [`simd`] — runtime-dispatched SIMD kernels with scalar twins.
@@ -32,7 +31,6 @@
 // we only permit in tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod agc;
 pub mod complex;
 pub mod fft;
 pub mod fir;

@@ -6,6 +6,7 @@
 
 use crate::fir::design_lowpass;
 use crate::simd;
+use std::sync::Arc;
 
 /// Greatest common divisor (Euclid).
 fn gcd(mut a: usize, mut b: usize) -> usize {
@@ -18,19 +19,24 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 }
 
 /// Polyphase rational resampler converting `from_rate` → `to_rate`.
+///
+/// The polyphase bank is immutable and shared behind an [`Arc`], so cloning
+/// a freshly built resampler is the cheap way to start another stream with
+/// the same kernel.
 #[derive(Debug, Clone)]
 pub struct Resampler {
     /// Upsampling factor L.
     up: usize,
     /// Downsampling factor M.
     down: usize,
-    /// Polyphase filter bank, stored oldest-sample-first so each output is a
-    /// forward dot product against a contiguous input window:
-    /// `phases[p][k]` multiplies the window sample `taps_per_phase − 1 − k`
-    /// steps behind the newest.
-    phases: Vec<Vec<f32>>,
-    /// Last `taps_per_phase − 1` input samples (oldest first), carried
-    /// between blocks.
+    /// Taps per polyphase branch (`T`).
+    taps_per_phase: usize,
+    /// Polyphase filter bank, `up` branches of `T` taps laid end to end and
+    /// stored oldest-sample-first so each output is a forward dot product
+    /// against a contiguous input window: `phases[p·T + k]` multiplies the
+    /// window sample `T − 1 − k` steps behind the newest.
+    phases: Arc<[f32]>,
+    /// Last `T − 1` input samples (oldest first), carried between blocks.
     tail: Vec<f32>,
     /// Linearized window scratch: `tail ++ input` for the current block.
     ext: Vec<f32>,
@@ -47,31 +53,58 @@ impl Resampler {
     /// # Panics
     /// Panics if either rate is zero.
     pub fn new(from_rate: usize, to_rate: usize, quality: usize) -> Self {
+        Self::with_prefilter(from_rate, to_rate, quality, &[1.0])
+    }
+
+    /// Creates a resampler whose kernel first applies the FIR `taps` at the
+    /// input rate: the output equals `Fir::new(taps)` followed by
+    /// [`Resampler::new`] up to float rounding, at the cost of one dot
+    /// product per *output* sample instead of a full-rate filter pass.
+    ///
+    /// The prefilter, upsampled by L, is convolved with the windowed-sinc
+    /// prototype in `f64` and the sum rounded once, so each branch grows by
+    /// `taps.len() − 1` taps. A single unit tap reproduces
+    /// [`Resampler::new`] bit for bit.
+    ///
+    /// # Panics
+    /// Panics if either rate is zero or `taps` is empty.
+    pub fn with_prefilter(from_rate: usize, to_rate: usize, quality: usize, taps: &[f32]) -> Self {
         assert!(from_rate > 0 && to_rate > 0, "rates must be positive");
+        assert!(!taps.is_empty(), "prefilter needs at least one tap");
         let g = gcd(from_rate, to_rate);
         let up = to_rate / g;
         let down = from_rate / g;
         // The prototype must be ~quality × max(L, M) taps long (at the
         // upsampled rate) or the transition band scales with the *larger*
         // factor and eats into the passband when decimating.
-        let taps_per_phase = quality.max(4) * down.div_ceil(up).max(1);
-        let total = taps_per_phase * up;
+        let proto_per_phase = quality.max(4) * down.div_ceil(up).max(1);
         // Cut at the narrower of the two Nyquists, in units of the upsampled rate.
         let cutoff = 0.45 / up.max(down) as f64;
-        let mut proto = design_lowpass(total, cutoff);
+        let mut proto = design_lowpass(proto_per_phase * up, cutoff);
         for c in &mut proto {
             *c *= up as f32; // compensate zero-stuffing loss
         }
-        let mut phases = vec![vec![0.0f32; taps_per_phase]; up];
-        for (i, &c) in proto.iter().enumerate() {
+        // Kernel at the upsampled rate: proto ∗ (taps zero-stuffed by L).
+        let taps_per_phase = proto_per_phase + taps.len() - 1;
+        let mut kernel = vec![0.0f64; taps_per_phase * up];
+        for (l, &h) in taps.iter().enumerate() {
+            let h = f64::from(h);
+            for (k, &c) in kernel[l * up..].iter_mut().zip(&proto) {
+                *k += h * f64::from(c);
+            }
+        }
+        let mut phases = vec![0.0f32; taps_per_phase * up];
+        for (i, &c) in kernel.iter().enumerate() {
             // Reversed tap order (oldest-first) so `process_into` reads each
             // window as one contiguous forward slice.
-            phases[i % up][taps_per_phase - 1 - i / up] = c;
+            let (p, k) = (i % up, i / up);
+            phases[p * taps_per_phase + taps_per_phase - 1 - k] = c as f32;
         }
         Resampler {
             up,
             down,
-            phases,
+            taps_per_phase,
+            phases: phases.into(),
             tail: vec![0.0; taps_per_phase - 1],
             ext: Vec::new(),
             phase: 0,
@@ -105,9 +138,10 @@ impl Resampler {
         // Linearize the delay line once per block instead of rotating a
         // history buffer per sample: with `ext = tail ++ input`, the window
         // ending at `input[i]` is the contiguous slice `ext[i..i + T]`
-        // (oldest first), matching the reversed tap order built in `new`.
-        let m = self.tail.len();
-        let t = m + 1;
+        // (oldest first), matching the reversed tap order built in
+        // `with_prefilter`.
+        let t = self.taps_per_phase;
+        let m = t - 1;
         self.ext.resize(m + input.len(), 0.0);
         self.ext[..m].copy_from_slice(&self.tail);
         self.ext[m..].copy_from_slice(input);
@@ -116,7 +150,8 @@ impl Resampler {
             // Each input advances the virtual upsampled clock by `up` ticks;
             // outputs fire every `down` ticks.
             while self.phase < self.up {
-                o[j] = simd::dot(&self.phases[self.phase], &self.ext[i..i + t]);
+                let taps = &self.phases[self.phase * t..(self.phase + 1) * t];
+                o[j] = simd::dot(taps, &self.ext[i..i + t]);
                 j += 1;
                 self.phase += self.down;
             }

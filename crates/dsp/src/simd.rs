@@ -895,8 +895,18 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Scalar twin of [`dot`].
 pub fn dot_reference(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; DOT_LANES];
-    for (i, (&x, &h)) in a.iter().zip(b).enumerate() {
-        acc[i % DOT_LANES] += x * h;
+    // Element `i` feeds lane `i % DOT_LANES`; walking whole 8-element rows
+    // keeps that order while letting the compiler keep `acc` in registers.
+    let n = a.len().min(b.len());
+    let (a_rows, b_rows) = (a[..n].chunks_exact(DOT_LANES), b[..n].chunks_exact(DOT_LANES));
+    let (a_tail, b_tail) = (a_rows.remainder(), b_rows.remainder());
+    for (x, h) in a_rows.zip(b_rows) {
+        for ((lane, &x), &h) in acc.iter_mut().zip(x).zip(h) {
+            *lane += x * h;
+        }
+    }
+    for ((lane, &x), &h) in acc.iter_mut().zip(a_tail).zip(b_tail) {
+        *lane += x * h;
     }
     let mut s = 0.0f32;
     for lane in acc {

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sonic_dsp::fft::Fft;
-use sonic_dsp::fir::{design_lowpass, BlockFir, Fir};
+use sonic_dsp::fir::{design_bandpass, design_lowpass, BlockFir, Fir};
 use sonic_dsp::plan::FftPlan;
 use sonic_dsp::resample::Resampler;
 use sonic_dsp::simd;
@@ -263,6 +263,72 @@ proptest! {
                 let mirror = w[n - 1 - i];
                 prop_assert!((v - mirror).abs() < 1e-5, "{kind:?} asymmetric at {i}");
             }
+        }
+    }
+
+    /// A prefiltered resampler equals the prefilter followed by the plain
+    /// resampler (float rounding only), and its output does not depend on
+    /// how the input is split across `process_into` calls.
+    #[test]
+    fn prefiltered_resampler_matches_fir_then_resample(
+        rate_pair in 0usize..4,
+        n_taps in 1usize..300,
+        band_frac in 0.1f64..0.9,
+        bandpass in any::<bool>(),
+        n in 0usize..4000,
+        cuts in proptest::collection::vec(0usize..4000, 0..4),
+        seed in any::<u32>(),
+    ) {
+        let (from, to) = [(228_000, 44_100), (48_000, 44_100), (96_000, 48_000), (44_100, 48_000)]
+            [rate_pair];
+        // Keep the prefilter's passband inside the resampler's (0.45 of the
+        // narrower Nyquist) so the output carries signal, not stopband
+        // leakage, and the relative error is meaningful.
+        let cutoff = band_frac * 0.45 * from.min(to) as f64 / from as f64;
+        let taps = if bandpass && n_taps > 2 {
+            design_bandpass(n_taps, cutoff / 2.0, (cutoff / 2.0 + 0.15).min(0.49))
+        } else {
+            design_lowpass(n_taps, cutoff)
+        };
+        let mut x = seed | 1;
+        let signal: Vec<f32> = (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(1103515245).wrapping_add(12345);
+                ((x >> 16) as f32 / 32768.0) - 1.0
+            })
+            .collect();
+
+        let mut filtered = signal.clone();
+        Fir::new(taps.clone()).process(&mut filtered);
+        let mut want = Vec::new();
+        Resampler::new(from, to, 32).process_into(&filtered, &mut want);
+
+        let fused = Resampler::with_prefilter(from, to, 32, &taps);
+        let mut whole = Vec::new();
+        fused.clone().process_into(&signal, &mut whole);
+        prop_assert_eq!(whole.len(), want.len());
+        let (mut err, mut pow) = (0.0f64, 0.0f64);
+        for (g, w) in whole.iter().zip(&want) {
+            err += (f64::from(*g) - f64::from(*w)).powi(2);
+            pow += f64::from(*w).powi(2);
+        }
+        prop_assert!(
+            err <= 1e-12 * pow.max(1e-30),
+            "relative RMS {} ({from}→{to}, {n_taps} taps)", (err / pow.max(1e-30)).sqrt()
+        );
+
+        let mut bounds = cuts.iter().map(|&c| c.min(n)).collect::<Vec<_>>();
+        bounds.sort_unstable();
+        let mut split = Vec::new();
+        let mut r = fused;
+        let mut at = 0usize;
+        for b in bounds.into_iter().chain([n]) {
+            r.process_into(&signal[at..b], &mut split);
+            at = b;
+        }
+        prop_assert_eq!(split.len(), whole.len());
+        for (i, (g, w)) in split.iter().zip(&whole).enumerate() {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "sample {} differs across splits", i);
         }
     }
 }

@@ -15,10 +15,11 @@
 //! SNR despite FM's triangular noise spectrum.
 
 use crate::{rds, AUDIO_RATE, MPX_RATE, PILOT_HZ, STEREO_SUB_HZ};
-use sonic_dsp::fir::{design_bandpass, design_lowpass, BlockFir, Fir, FirBank};
+use sonic_dsp::fir::{design_bandpass, design_lowpass, BlockFir, Fir};
 use sonic_dsp::iir::{Deemphasis, Preemphasis};
 use sonic_dsp::plan::FirPlan;
 use sonic_dsp::resample::Resampler;
+use sonic_dsp::window::{generate, Window};
 use std::f64::consts::TAU;
 use std::sync::Arc;
 
@@ -101,7 +102,8 @@ pub fn compose(input: &MpxInput) -> Vec<f32> {
 pub struct MpxOutput {
     /// Recovered mono audio at 44.1 kHz (de-emphasized).
     pub mono: Vec<f32>,
-    /// Raw RDS bits sliced from the 57 kHz subcarrier (empty when absent).
+    /// Raw RDS bits sliced from the 57 kHz subcarrier; empty unless the
+    /// service detector found an RDS subcarrier.
     pub rds_bits: Vec<u8>,
     /// Recovered stereo difference at 44.1 kHz when a pilot was detected.
     pub stereo_diff: Option<Vec<f32>>,
@@ -109,6 +111,10 @@ pub struct MpxOutput {
 
 /// Number of taps in every band-select filter of the decomposer.
 const BAND_TAPS: usize = 257;
+
+/// Most spectrum frames the service detector averages, whatever the
+/// composite's length.
+const DETECT_FRAMES: usize = 32;
 
 /// The decomposer's fixed band-select filters, indexable into
 /// [`band_filters`]'s cache.
@@ -126,15 +132,22 @@ enum Band {
     RdsBp = 4,
 }
 
-/// Filter designs plus shared overlap-save plans for every [`Band`].
+/// Filter designs, shared overlap-save plans for every [`Band`], the fused
+/// mono kernel and the service detector's window.
 struct BandFilters {
     taps: [Vec<f32>; 5],
     plans: [Arc<FirPlan>; 5],
+    /// The mono low-pass folded into the 228 kHz → 44.1 kHz resampler;
+    /// cloned (sharing its kernel) for every stream.
+    mono_down: Resampler,
+    /// Hann window over one detector frame (the plans' FFT size).
+    window: Vec<f32>,
 }
 
 /// All band designs are fixed by the MPX layout, so the windowed-sinc
-/// designs and their overlap-save FFT plans are built once per process and
-/// shared by every decompose call (and every receiver thread).
+/// designs, their overlap-save FFT plans and the fused mono kernel are built
+/// once per process and shared by every decompose call (and every receiver
+/// thread).
 fn band_filters() -> &'static BandFilters {
     use std::sync::OnceLock;
     static CACHE: OnceLock<BandFilters> = OnceLock::new();
@@ -147,7 +160,19 @@ fn band_filters() -> &'static BandFilters {
             design_bandpass(BAND_TAPS, 54_500.0 / MPX_RATE, 59_500.0 / MPX_RATE),
         ];
         let plans = taps.each_ref().map(|t| FirPlan::shared(t));
-        BandFilters { taps, plans }
+        let mono_down = Resampler::with_prefilter(
+            MPX_RATE as usize,
+            AUDIO_RATE as usize,
+            32,
+            &taps[Band::MonoLp as usize],
+        );
+        let window = generate(Window::Hann, plans[Band::PilotBp as usize].fft().len());
+        BandFilters {
+            taps,
+            plans,
+            mono_down,
+            window,
+        }
     })
 }
 
@@ -164,73 +189,135 @@ fn band_filter(signal: &mut [f32], band: Band, fast: bool) {
     }
 }
 
+/// Band-selects a copy of `signal`.
+fn band_select(signal: &[f32], band: Band, fast: bool) -> Vec<f32> {
+    let mut out = signal.to_vec();
+    band_filter(&mut out, band, fast);
+    out
+}
+
+/// Mean power of a signal (0 when empty).
+fn mean_power(x: &[f32]) -> f32 {
+    x.iter().map(|&v| v * v).sum::<f32>() / x.len().max(1) as f32
+}
+
+/// Mono low-pass, 228 kHz → 44.1 kHz and de-emphasis. The fast path is one
+/// polyphase dot product per output sample with the low-pass folded into the
+/// resampler's kernel; the reference runs the direct-form low-pass at the
+/// composite rate and then the plain resampler.
+fn to_audio(signal: &[f32], fast: bool) -> Vec<f32> {
+    let mut out = Vec::with_capacity(signal.len() / 5 + 1);
+    if fast {
+        band_filters().mono_down.clone().process_into(signal, &mut out);
+    } else {
+        let low = band_select(signal, Band::MonoLp, false);
+        Resampler::new(MPX_RATE as usize, AUDIO_RATE as usize, 32).process_into(&low, &mut out);
+    }
+    Deemphasis::new(AUDIO_RATE, 50e-6).process(&mut out);
+    out
+}
+
+/// Optional services found in a composite by [`detect_services`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Services {
+    pilot: bool,
+    rds: bool,
+}
+
+/// Finds the 19 kHz pilot and the 57 kHz RDS subcarrier by their spectral
+/// shape, so channel noise — however strong — never reads as a service.
+///
+/// A Hann-windowed periodogram averages at most [`DETECT_FRAMES`] evenly
+/// spaced frames of the band plans' FFT size (2048 samples), so the work is
+/// bounded whatever the composite's length. The pilot's bin must stand 20×
+/// (in power) above the 18 and 20 kHz bins beside it. RDS, whose biphase
+/// spectrum peaks 1.2 kHz either side of its null at 57 kHz, must have both
+/// 1 kHz-wide lobes (55.3–56.3 and 57.7–58.7 kHz) 1.5× above a 61–63 kHz
+/// guard band: wide enough to average the noise down, low enough to keep the
+/// subcarrier at −80 dB RSSI, where it reads about 1.9× and still yields
+/// groups. FM noise rises only gently across each span, so without a service
+/// the ratios stay near 1 (at most 1.4 for the pilot and 1.1 for the RDS
+/// lobes over −70…−100 dB). A composite shorter than one frame carries
+/// neither.
+fn detect_services(composite: &[f32]) -> Services {
+    let f = band_filters();
+    let fft = f.plans[Band::PilotBp as usize].fft();
+    let n = fft.len();
+    let frames = (composite.len() / n).min(DETECT_FRAMES);
+    if frames == 0 {
+        return Services::default();
+    }
+    let bin = |hz: f64| (hz * n as f64 / MPX_RATE).round() as usize;
+    let mut power = vec![0.0f64; bin(63_000.0) + 1];
+    let (mut re, mut im) = (vec![0.0f32; n], vec![0.0f32; n]);
+    let span = composite.len() - n;
+    for i in 0..frames {
+        let start = if frames > 1 { i * span / (frames - 1) } else { 0 };
+        for ((r, &x), &w) in re.iter_mut().zip(&composite[start..start + n]).zip(&f.window) {
+            *r = x * w;
+        }
+        im.fill(0.0);
+        fft.forward_split(&mut re, &mut im);
+        for (p, (&a, &b)) in power.iter_mut().zip(re.iter().zip(&im)) {
+            *p += f64::from(a * a + b * b);
+        }
+    }
+    // Mean periodogram power over the bins spanning `lo..=hi` Hz.
+    let band = |lo: f64, hi: f64| {
+        let bins = &power[bin(lo)..=bin(hi)];
+        bins.iter().sum::<f64>() / bins.len() as f64
+    };
+    let at = |hz: f64| band(hz, hz);
+    let rds_lobes = band(55_300.0, 56_300.0).min(band(57_700.0, 58_700.0));
+    Services {
+        pilot: at(PILOT_HZ) > 20.0 * at(18_000.0).max(at(20_000.0)),
+        rds: rds_lobes > 1.5 * band(61_000.0, 63_000.0),
+    }
+}
+
 /// Splits a 228 kHz composite back into its services.
 ///
-/// This is the fast receive path: every 257-tap band filter runs through the
-/// FFT overlap-save engine ([`BlockFir`]) instead of the direct form, and the
-/// 44.1 kHz conversions stay in the polyphase [`Resampler`], which only
-/// computes taps at the decimated output rate. Output matches
-/// [`decompose_reference`] to within FFT rounding (~1e-6 relative — property
-/// tests bound the RMS error and check the frame-loss curve is unchanged).
+/// This is the fast receive path. The mono channel — SONIC's data band — is
+/// low-passed and decimated to 44.1 kHz in one polyphase pass whose kernel
+/// already contains the 16 kHz mono low-pass, so its cost is one dot product
+/// per *output* sample. The pilot and RDS band filters, and the whole stereo
+/// branch, run at the composite rate through the overlap-save [`BlockFir`]
+/// only when the service detector finds that service (and its band power
+/// clears the absolute level gate). Output matches [`decompose_reference`]
+/// to float rounding (~1e-6 relative; the tests bound the RMS error and
+/// check that the frame-loss curve is unchanged).
 pub fn decompose(composite: &[f32]) -> MpxOutput {
     decompose_impl(composite, true)
 }
 
-/// Direct-form reference decomposer (the original implementation), kept as
-/// the executable specification for the fast path.
+/// Direct-form reference decomposer: every band filter in direct form at the
+/// composite rate, followed by the plain [`Resampler`]. It shares the fast
+/// path's service detector and is kept as the executable specification.
 pub fn decompose_reference(composite: &[f32]) -> MpxOutput {
     decompose_impl(composite, false)
 }
 
 fn decompose_impl(composite: &[f32], fast: bool) -> MpxOutput {
-    // The three always-on band selections (mono LP, pilot BP, RDS BP) all
-    // filter the same composite, so the fast path runs them as one
-    // [`FirBank`] pass sharing the forward FFT of every overlap-save frame
-    // (4 transforms per frame instead of 6). Per band the bank is
-    // bit-identical to the separate `BlockFir` runs it replaces.
-    let (mono_hi, pilot, rds_band) = if fast {
-        let f = band_filters();
-        let mut bank = FirBank::new(vec![
-            Arc::clone(&f.plans[Band::MonoLp as usize]),
-            Arc::clone(&f.plans[Band::PilotBp as usize]),
-            Arc::clone(&f.plans[Band::RdsBp as usize]),
-        ]);
-        let mut outs = [Vec::new(), Vec::new(), Vec::new()];
-        bank.process_into(composite, &mut outs);
-        let [mono_hi, pilot, rds_band] = outs;
-        (mono_hi, pilot, rds_band)
+    let mono = to_audio(composite, fast);
+    let services = detect_services(composite);
+
+    // --- pilot: detector first, then the absolute level gate ---
+    let pilot = if services.pilot {
+        let pilot = band_select(composite, Band::PilotBp, fast);
+        (mean_power(&pilot) > (level::PILOT * level::PILOT) * 0.5 * 0.2).then_some(pilot)
     } else {
-        let mut mono_hi: Vec<f32> = composite.to_vec();
-        band_filter(&mut mono_hi, Band::MonoLp, fast);
-        let mut pilot: Vec<f32> = composite.to_vec();
-        band_filter(&mut pilot, Band::PilotBp, fast);
-        let mut rds_band: Vec<f32> = composite.to_vec();
-        band_filter(&mut rds_band, Band::RdsBp, fast);
-        (mono_hi, pilot, rds_band)
+        None
     };
 
-    // --- mono path: LPF 15 kHz, downsample, de-emphasize ---
-    let mut down = Resampler::new(MPX_RATE as usize, AUDIO_RATE as usize, 32);
-    let mut mono = Vec::with_capacity(composite.len() / 5);
-    down.process_into(&mono_hi, &mut mono);
-    Deemphasis::new(AUDIO_RATE, 50e-6).process(&mut mono);
-
-    // --- pilot detection ---
-    let pilot_power: f32 =
-        pilot.iter().map(|&x| x * x).sum::<f32>() / composite.len().max(1) as f32;
-    let has_pilot = pilot_power > (level::PILOT * level::PILOT) * 0.5 * 0.2;
-
     // --- stereo difference ---
-    let stereo_diff = if has_pilot {
-        let mut band: Vec<f32> = composite.to_vec();
-        band_filter(&mut band, Band::StereoBp, fast);
+    let stereo_diff = pilot.map(|pilot| {
+        let band = band_select(composite, Band::StereoBp, fast);
         // Regenerate 38 kHz by squaring the pilot (classic receiver trick):
         // sin²(ωt) = (1 − cos 2ωt)/2 ⇒ bandpass at 38 kHz gives −cos(2ωt)/2.
         let mut sq: Vec<f32> = pilot.iter().map(|&p| p * p).collect();
         band_filter(&mut sq, Band::CarrierBp, fast);
         // Normalize the regenerated carrier to unit amplitude.
-        let carrier_rms =
-            (sq.iter().map(|&x| x * x).sum::<f32>() / sq.len().max(1) as f32).sqrt();
+        let carrier_rms = mean_power(&sq).sqrt();
         let norm = if carrier_rms > 1e-9 {
             std::f32::consts::FRAC_1_SQRT_2 / carrier_rms
         } else {
@@ -242,7 +329,7 @@ fn decompose_impl(composite: &[f32], fast: bool) -> MpxOutput {
         // the product term lands 120° out of phase at 38 kHz.
         let extra_delay = 128usize;
         // Mix: diff·cos(2ω)·cos(2ω) = diff/2 + diff·cos(4ω)/2; LPF keeps diff/2.
-        let mut mixed: Vec<f32> = sq
+        let mixed: Vec<f32> = sq
             .iter()
             .enumerate()
             .map(|(i, &c)| {
@@ -250,24 +337,17 @@ fn decompose_impl(composite: &[f32], fast: bool) -> MpxOutput {
                 -2.0 * b * c * norm * 2.0 / level::STEREO
             })
             .collect();
-        band_filter(&mut mixed, Band::MonoLp, fast);
-        let mut down2 = Resampler::new(MPX_RATE as usize, AUDIO_RATE as usize, 32);
-        let mut diff = Vec::with_capacity(mixed.len() / 5);
-        down2.process_into(&mixed, &mut diff);
-        Deemphasis::new(AUDIO_RATE, 50e-6).process(&mut diff);
-        Some(diff)
-    } else {
-        None
-    };
+        to_audio(&mixed, fast)
+    });
 
-    // --- RDS ---
-    let rds_power: f32 =
-        rds_band.iter().map(|&x| x * x).sum::<f32>() / rds_band.len().max(1) as f32;
-    let rds_bits = if rds_power > (level::RDS * level::RDS) * 0.05 {
-        rds::demodulate_subcarrier(&rds_band)
-    } else {
-        Vec::new()
-    };
+    // --- RDS: detector first, then the absolute level gate ---
+    let mut rds_bits = Vec::new();
+    if services.rds {
+        let band = band_select(composite, Band::RdsBp, fast);
+        if mean_power(&band) > (level::RDS * level::RDS) * 0.05 {
+            rds_bits = rds::demodulate_subcarrier(&band);
+        }
+    }
 
     MpxOutput {
         mono,
