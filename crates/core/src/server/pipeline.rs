@@ -3,12 +3,14 @@
 //! The serial broadcast path costs hundreds of milliseconds per page (raster
 //! render, strip/SWP encoding, chunking, OFDM modulation), which caps how
 //! fast a transmitter fleet can be fed. This module runs those four stages
-//! as a pipeline of worker pools connected by **bounded** crossbeam
-//! channels: every stage can run concurrently on different pages, the
-//! bounded queues give back-pressure (a slow consumer stalls producers
-//! instead of buffering unboundedly), and a sequence-tagged reorder buffer
-//! at the sink makes the output order — and therefore everything fed into a
-//! [`BroadcastScheduler`] — deterministic and identical to the serial path.
+//! as a pipeline of worker pools connected by **bounded**
+//! `std::sync::mpsc::sync_channel`s (each pool's workers share the
+//! receiver behind a `Mutex`): every stage can run concurrently on
+//! different pages, the bounded queues give back-pressure (a slow consumer
+//! stalls producers instead of buffering unboundedly), and a
+//! sequence-tagged reorder buffer at the sink makes the output order — and
+//! therefore everything fed into a [`BroadcastScheduler`] — deterministic
+//! and identical to the serial path.
 //!
 //! Stage outputs are bit-identical to [`run_serial`]: every stage is a pure
 //! function of its input (modulation goes through `sonic-modem`'s cached
@@ -23,7 +25,6 @@ use crate::page::SimplifiedPage;
 use crate::server::cache::{Artifact, ArtifactTier};
 use crate::server::render::Renderer;
 use crate::server::scheduler::BroadcastScheduler;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use sonic_image::clickmap::ClickMap;
 use sonic_image::hash::Fnv64;
 use sonic_image::raster::Raster;
@@ -31,7 +32,8 @@ use sonic_image::strip;
 use sonic_modem::profile::Profile;
 use sonic_pagegen::{PageId, RenderedPage};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Arc, Mutex};
 
 /// One render request: a corpus page at an hour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,19 +171,21 @@ pub fn run_pipeline_with(
 
     // Stage channels. Bounded: a full queue blocks the upstream stage, so
     // memory stays at O(queue_depth) pages regardless of job count.
-    let (job_tx, job_rx) = bounded::<(usize, PageJob)>(depth);
-    let (page_tx, page_rx) = bounded::<(usize, SimplifiedPage)>(depth);
-    let (frame_tx, frame_rx) = bounded::<(usize, SimplifiedPage, Vec<Frame>)>(depth);
-    let (out_tx, out_rx) = bounded::<BroadcastArtifact>(depth);
+    let (job_tx, job_rx) = sync_channel::<(usize, PageJob)>(depth);
+    let (page_tx, page_rx) = sync_channel::<(usize, SimplifiedPage)>(depth);
+    let (frame_tx, frame_rx) = sync_channel::<(usize, SimplifiedPage, Vec<Frame>)>(depth);
+    let (out_tx, out_rx) = sync_channel::<BroadcastArtifact>(depth);
+    let job_rx = Arc::new(Mutex::new(job_rx));
+    let page_rx = Arc::new(Mutex::new(page_rx));
+    let frame_rx = Arc::new(Mutex::new(frame_rx));
 
     std::thread::scope(|scope| {
         // Render + SWP-encode pool (stages 1–2 share a worker: the encode
         // input is the render output and both are per-page pure functions).
         for _ in 0..workers {
-            let job_rx: Receiver<(usize, PageJob)> = job_rx.clone();
-            let page_tx: Sender<(usize, SimplifiedPage)> = page_tx.clone();
+            let (job_rx, page_tx) = (Arc::clone(&job_rx), page_tx.clone());
             scope.spawn(move || {
-                for (seq, job) in job_rx {
+                while let Some((seq, job)) = next(&job_rx) {
                     let (rendered, version, ttl) = stage_render(renderer, job);
                     let page = stage_encode(&rendered, version, ttl);
                     if page_tx.send((seq, page)).is_err() {
@@ -193,10 +197,9 @@ pub fn run_pipeline_with(
         // Chunking stage (cheap; one worker keeps it a distinct stage
         // without burning threads).
         {
-            let page_rx = page_rx.clone();
-            let frame_tx = frame_tx.clone();
+            let (page_rx, frame_tx) = (Arc::clone(&page_rx), frame_tx.clone());
             scope.spawn(move || {
-                for (seq, page) in page_rx {
+                while let Some((seq, page)) = next(&page_rx) {
                     let frames = stage_chunk(&page);
                     if frame_tx.send((seq, page, frames)).is_err() {
                         return;
@@ -208,10 +211,9 @@ pub fn run_pipeline_with(
         // `FrameCodec` (thread-local inside sonic-modem), so the OFDM plan
         // and scratch buffers are built once per thread, not per page.
         for _ in 0..workers {
-            let frame_rx = frame_rx.clone();
-            let out_tx = out_tx.clone();
+            let (frame_rx, out_tx) = (Arc::clone(&frame_rx), out_tx.clone());
             scope.spawn(move || {
-                for (seq, page, frames) in frame_rx {
+                while let Some((seq, page, frames)) = next(&frame_rx) {
                     let audio = stage_modulate(profile, &frames);
                     if out_tx
                         .send(BroadcastArtifact {
@@ -227,13 +229,15 @@ pub fn run_pipeline_with(
                 }
             });
         }
-        // The scope owns the original senders/receivers; drop our copies so
-        // the chain closes stage by stage once the feeder finishes.
+        // The workers own the clones; drop ours so the chain closes stage by
+        // stage once the feeder finishes, and a stage whose workers all
+        // died fails its upstream's sends instead of blocking them.
         drop(page_tx);
         drop(page_rx);
         drop(frame_tx);
         drop(frame_rx);
         drop(out_tx);
+        drop(job_rx);
 
         // Feed jobs from a scoped thread so the caller thread can sink.
         scope.spawn(move || {
@@ -243,10 +247,18 @@ pub fn run_pipeline_with(
                 }
             }
         });
-        drop(job_rx);
 
         reorder_sink(out_rx, jobs.len(), on_ready)
     })
+}
+
+/// The next item for a pool worker; `None` once the upstream stage hung up
+/// and the queue is drained.
+fn next<T>(rx: &Mutex<Receiver<T>>) -> Option<T> {
+    // A worker that panicked while waiting leaves nothing half-updated in
+    // the receiver, so its guard is still sound.
+    let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
+    rx.recv().ok()
 }
 
 /// Per-call accounting from [`refresh_pages`] (the cumulative counters,

@@ -1,9 +1,9 @@
-//! Radix-2 iterative Cooley-Tukey FFT.
+//! Radix-2 iterative Cooley-Tukey FFT on interleaved samples.
 //!
-//! The OFDM modem performs one forward or inverse transform per symbol, so
-//! the plan (bit-reversal permutation + twiddle table) is computed once in
-//! [`Fft::new`] and reused. Sizes must be powers of two; the SONIC profiles
-//! use 1024.
+//! [`Fft`] is the oracle of the planned split-plane transform
+//! [`crate::plan::FftPlan`], which every OFDM and spectral path runs on:
+//! the two share twiddle angles and butterfly arithmetic, so they agree bit
+//! for bit. Sizes must be powers of two; the SONIC profiles use 1024.
 
 use crate::complex::C32;
 
@@ -19,9 +19,6 @@ pub struct Fft {
     inv_twiddles: Vec<C32>,
     /// Bit-reversal permutation indices.
     rev: Vec<u32>,
-    /// Base-4 digit-reversal permutation indices for the radix-4 path.
-    /// Empty when `log2(n)` is odd (the radix-4 path falls back to radix-2).
-    rev4: Vec<u32>,
 }
 
 impl Fft {
@@ -41,19 +38,11 @@ impl Fft {
         let rev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - bits))
             .collect();
-        let rev4 = if bits.is_multiple_of(2) {
-            (0..n)
-                .map(|i| digit4_reverse(i, bits / 2) as u32)
-                .collect()
-        } else {
-            Vec::new()
-        };
         Fft {
             n,
             twiddles,
             inv_twiddles,
             rev,
-            rev4,
         }
     }
 
@@ -81,21 +70,12 @@ impl Fft {
 
     /// In-place inverse DFT, scaled by `1/n` so `inverse(forward(x)) == x`.
     ///
-    /// Power-of-4 sizes (including the 1024-point OFDM transform) take the
-    /// radix-4 path, which does ~25% fewer complex multiplies per pass.
-    ///
     /// # Panics
     /// Panics if `buf.len() != self.len()`.
     pub fn inverse(&self, buf: &mut [C32]) {
         assert_eq!(buf.len(), self.n, "buffer length must equal FFT size");
-        let log2 = self.n.trailing_zeros();
-        if log2.is_multiple_of(2) {
-            self.permute4(buf);
-            self.radix4_butterflies(buf, true);
-        } else {
-            self.permute(buf);
-            self.butterflies(buf, true);
-        }
+        self.permute(buf);
+        self.butterflies(buf, true);
         let k = 1.0 / self.n as f32;
         for v in buf.iter_mut() {
             *v = v.scale(k);
@@ -137,230 +117,6 @@ impl Fft {
             len <<= 1;
         }
     }
-}
-
-/// Forward DFT specialized for real input via the half-size packing trick:
-/// the `n` real samples are viewed as `n/2` complex samples, transformed
-/// with an `n/2`-point complex FFT (radix-4 where the size allows), then
-/// untangled into the full `n`-bin spectrum.
-///
-/// Roughly 2× cheaper than padding into [`Fft::forward`]. This is a separate
-/// opt-in path: its output differs from the complex transform only by float
-/// rounding, so the bit-exact OFDM hot paths keep using [`Fft`] while
-/// spectral measurements use this.
-#[derive(Debug, Clone)]
-pub struct RealFft {
-    n: usize,
-    half: Fft,
-    /// `e^{-2πjk/n}` for the untangle stage, `k < n/4 + 1`.
-    untangle: Vec<C32>,
-}
-
-impl RealFft {
-    /// Builds a plan for an `n`-point real transform.
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two or is smaller than 4.
-    pub fn new(n: usize) -> Self {
-        assert!(
-            n.is_power_of_two() && n >= 4,
-            "real FFT size must be a power of two >= 4, got {n}"
-        );
-        let untangle = (0..n / 4 + 1)
-            .map(|k| C32::from_angle(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-            .collect();
-        RealFft {
-            n,
-            half: Fft::new(n / 2),
-            untangle,
-        }
-    }
-
-    /// Transform size (number of real input samples and complex output bins).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false; plans are at least 4 points. Present for API symmetry.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Computes the full `n`-bin spectrum of `signal` into `out`
-    /// (`out` is resized to `n`). Matches [`Fft::forward`] on the same
-    /// zero-imaginary input up to float rounding.
-    ///
-    /// # Panics
-    /// Panics if `signal.len() != self.len()`.
-    pub fn forward(&self, signal: &[f32], out: &mut Vec<C32>) {
-        assert_eq!(signal.len(), self.n, "signal length must equal FFT size");
-        let h = self.n / 2;
-        // Pack adjacent real samples into complex values: z[t] = x[2t] + j·x[2t+1].
-        out.clear();
-        out.reserve(self.n);
-        for t in 0..h {
-            out.push(C32::new(signal[2 * t], signal[2 * t + 1]));
-        }
-        self.half.forward_radix4(&mut out[..h]);
-
-        // Untangle: with E/O the DFTs of the even/odd subsequences,
-        //   Z[k]      = E[k] + jO[k]
-        //   Z[h-k]^*  = E[k] - jO[k]
-        // so X[k] = E[k] + W_n^k O[k] and X[k+h] = E[k] - W_n^k O[k].
-        out.resize(self.n, C32::ZERO);
-        let (lo, hi) = out.split_at_mut(h);
-        // DC and Nyquist bins are real-valued combinations of Z[0].
-        let z0 = lo[0];
-        lo[0] = C32::new(z0.re + z0.im, 0.0);
-        hi[0] = C32::new(z0.re - z0.im, 0.0);
-        for k in 1..h / 2 + 1 {
-            let zk = lo[k];
-            let zmk = if k == h - k { zk } else { lo[h - k] };
-            let e = (zk + zmk.conj()).scale(0.5);
-            let o_j = (zk - zmk.conj()).scale(0.5); // j·O[k]
-            let o = C32::new(o_j.im, -o_j.re);
-            let w = self.untangle[k];
-            let t = o * w;
-            let xk = e + t;
-            let xkh = e - t;
-            lo[k] = xk;
-            hi[k] = xkh;
-            if k != h - k {
-                // Real-input symmetry: X[n-k] = X[k]^*.
-                lo[h - k] = xkh.conj();
-                hi[h - k] = xk.conj();
-            }
-        }
-        // Fix the ordering: bins h/2+1..h of the lower half were written as
-        // conjugate-symmetric partners above; nothing else to do — lo holds
-        // X[0..h], hi holds X[h..n].
-    }
-}
-
-impl Fft {
-    /// In-place forward DFT using radix-4 butterflies where the size is a
-    /// power of 4 (falls back to [`Fft::forward`] otherwise). Radix-4 merges
-    /// two radix-2 stages and trades one complex multiply for trivial ±j
-    /// rotations, so its rounding differs slightly from the radix-2 path —
-    /// callers that require bit-exact agreement with the OFDM chain must use
-    /// [`Fft::forward`].
-    pub fn forward_radix4(&self, buf: &mut [C32]) {
-        assert_eq!(buf.len(), self.n, "buffer length must equal FFT size");
-        let log2 = self.n.trailing_zeros();
-        if !log2.is_multiple_of(2) {
-            self.forward(buf);
-            return;
-        }
-        self.permute4(buf);
-        self.radix4_butterflies(buf, false);
-    }
-
-    /// Base-4 digit reversal permutation (= bit reversal of digit pairs).
-    fn permute4(&self, buf: &mut [C32]) {
-        debug_assert_eq!(self.rev4.len(), self.n);
-        for i in 0..self.n {
-            let j = self.rev4[i] as usize;
-            if i < j {
-                buf.swap(i, j);
-            }
-        }
-    }
-
-    fn radix4_butterflies(&self, buf: &mut [C32], inverse: bool) {
-        let n = self.n;
-        let tw = if inverse {
-            &self.inv_twiddles
-        } else {
-            &self.twiddles
-        };
-        // ∓j·(b − d) is the radix-4 "free" rotation (+j when inverting,
-        // since W_4^{-1} = +j). Folding the direction into a ±1 factor keeps
-        // the butterfly branch-free; multiplying by ±1.0 is exact.
-        let s: f32 = if inverse { 1.0 } else { -1.0 };
-
-        // First stage (len = 4): every twiddle is unity, so skip the
-        // multiplies entirely.
-        for chunk in buf.chunks_exact_mut(4) {
-            let (a, b, c, d) = (chunk[0], chunk[1], chunk[2], chunk[3]);
-            let ac_p = a + c;
-            let ac_m = a - c;
-            let bd_p = b + d;
-            let t = b - d;
-            let bd_rot = C32::new(-s * t.im, s * t.re);
-            chunk[0] = ac_p + bd_p;
-            chunk[1] = ac_m + bd_rot;
-            chunk[2] = ac_p - bd_p;
-            chunk[3] = ac_m - bd_rot;
-        }
-
-        let mut len = 16;
-        while len <= n {
-            let quarter = len / 4;
-            let stride = n / len;
-            for chunk in buf.chunks_exact_mut(len) {
-                // Split the block into its four quarters so the inner loop
-                // indexes each without bounds checks.
-                let (q0, rest) = chunk.split_at_mut(quarter);
-                let (q1, rest) = rest.split_at_mut(quarter);
-                let (q2, q3) = rest.split_at_mut(quarter);
-                for k in 0..quarter {
-                    let w1 = tw[k * stride];
-                    // w2/w3 via table lookups (k*stride*2 < n/2 holds because
-                    // len ≥ 4 ⇒ quarter*stride*2 = n/2 ⇒ k*stride*2 < n/2).
-                    let w2 = tw[k * stride * 2];
-                    let w3 = w1 * w2;
-                    let a = q0[k];
-                    let b = q1[k] * w1;
-                    let c = q2[k] * w2;
-                    let d = q3[k] * w3;
-                    let ac_p = a + c;
-                    let ac_m = a - c;
-                    let bd_p = b + d;
-                    let t = b - d;
-                    let bd_rot = C32::new(-s * t.im, s * t.re);
-                    q0[k] = ac_p + bd_p;
-                    q1[k] = ac_m + bd_rot;
-                    q2[k] = ac_p - bd_p;
-                    q3[k] = ac_m - bd_rot;
-                }
-            }
-            len <<= 2;
-        }
-    }
-}
-
-/// Reverses `digits` base-4 digits of `i`.
-fn digit4_reverse(i: usize, digits: u32) -> usize {
-    let mut x = i;
-    let mut r = 0usize;
-    for _ in 0..digits {
-        r = (r << 2) | (x & 3);
-        x >>= 2;
-    }
-    r
-}
-
-/// Computes the forward DFT of a real signal, returning `n` complex bins.
-///
-/// Convenience wrapper used by spectral measurements; the hot paths keep
-/// their own [`Fft`] plans.
-pub fn dft_real(signal: &[f32]) -> Vec<C32> {
-    let n = signal.len().next_power_of_two().max(2);
-    if n < 4 {
-        let fft = Fft::new(n);
-        let mut buf: Vec<C32> = signal.iter().map(|&s| C32::new(s, 0.0)).collect();
-        buf.resize(n, C32::ZERO);
-        fft.forward(&mut buf);
-        return buf;
-    }
-    let rfft = RealFft::new(n);
-    let mut padded = signal.to_vec();
-    padded.resize(n, 0.0);
-    let mut out = Vec::new();
-    rfft.forward(&padded, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -457,51 +213,26 @@ mod tests {
     }
 
     #[test]
-    fn dft_real_pads_to_power_of_two() {
-        let out = dft_real(&[1.0, 2.0, 3.0]);
-        assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    fn real_fft_matches_complex_fft() {
+    fn plan_forward_matches_fft_on_real_input() {
         for n in [4usize, 16, 64, 1024] {
-            let signal: Vec<f32> = (0..n).map(|i| (i as f32 * 0.137).sin() + 0.2).collect();
-            let fft = Fft::new(n);
-            let mut want: Vec<C32> = signal.iter().map(|&s| C32::new(s, 0.0)).collect();
-            fft.forward(&mut want);
-            let rfft = RealFft::new(n);
-            let mut got = Vec::new();
-            rfft.forward(&signal, &mut got);
-            assert_eq!(got.len(), n);
-            let scale = (n as f32).sqrt();
-            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!((*g - *w).abs() < 1e-3 * scale, "n={n} bin {k}: {g:?} vs {w:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn radix4_matches_radix2() {
-        for n in [4usize, 16, 256, 1024] {
-            let x: Vec<C32> = (0..n)
-                .map(|i| C32::new((i as f32 * 0.21).sin(), (i as f32 * 0.33).cos()))
+            let signal: Vec<C32> = (0..n)
+                .map(|i| C32::new((i as f32 * 0.137).sin() + 0.2, 0.0))
                 .collect();
-            let fft = Fft::new(n);
-            let mut want = x.clone();
-            fft.forward(&mut want);
-            let mut got = x.clone();
-            fft.forward_radix4(&mut got);
-            let scale = (n as f32).sqrt();
-            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!((*g - *w).abs() < 1e-3 * scale, "n={n} bin {k}: {g:?} vs {w:?}");
+            let mut want = signal.clone();
+            Fft::new(n).forward(&mut want);
+            let mut got = crate::split::SplitC32::from_interleaved(&signal);
+            crate::plan::FftPlan::new(n).forward_split(&mut got.re, &mut got.im);
+            for (k, w) in want.iter().enumerate() {
+                assert_eq!(got.re[k].to_bits(), w.re.to_bits(), "n={n} bin {k}");
+                assert_eq!(got.im[k].to_bits(), w.im.to_bits(), "n={n} bin {k}");
             }
         }
     }
 
     #[test]
-    fn inverse_radix4_matches_conjugate_identity() {
-        // inverse(x) == conj(forward(conj(x)))/n; the right side runs the
-        // (radix-2) forward path, checking the radix-4 inverse butterflies.
+    fn inverse_matches_conjugate_identity() {
+        // inverse(x) == conj(forward(conj(x)))/n: the two sides run the
+        // conjugated and the forward twiddle tables.
         for n in [16usize, 64, 1024] {
             let x: Vec<C32> = (0..n)
                 .map(|i| C32::new((i as f32 * 0.17).cos(), (i as f32 * 0.29).sin()))
@@ -516,21 +247,6 @@ mod tests {
                 let w = w.conj().scale(1.0 / n as f32);
                 assert!((*g - w).abs() < 1e-4 * scale, "n={n} bin {k}: {g:?} vs {w:?}");
             }
-        }
-    }
-
-    #[test]
-    fn radix4_falls_back_on_odd_log_sizes() {
-        let n = 32; // 2^5: not a power of 4.
-        let x: Vec<C32> = (0..n).map(|i| C32::new(i as f32, -(i as f32))).collect();
-        let fft = Fft::new(n);
-        let mut want = x.clone();
-        fft.forward(&mut want);
-        let mut got = x.clone();
-        fft.forward_radix4(&mut got);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.re.to_bits(), w.re.to_bits());
-            assert_eq!(g.im.to_bits(), w.im.to_bits());
         }
     }
 }

@@ -46,6 +46,6 @@ pub mod split;
 pub mod window;
 
 pub use complex::C32;
-pub use fft::{Fft, RealFft};
+pub use fft::Fft;
 pub use plan::{FftPlan, FirPlan};
 pub use split::SplitC32;

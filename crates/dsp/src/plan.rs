@@ -1,12 +1,13 @@
 //! Planned transforms over structure-of-arrays buffers.
 //!
-//! [`FftPlan`] is the split-plane (SoA) counterpart of [`crate::fft::Fft`]:
-//! the bit-reversal permutation and **per-stage contiguous twiddle tables**
-//! are computed once, and every butterfly stage runs through the
-//! runtime-dispatched [`crate::simd::butterfly_radix2`] kernel. Twiddles are
-//! evaluated with the same `f64` angles as `Fft`, and the kernel's scalar
-//! twin performs the same arithmetic as the interleaved butterflies, so the
-//! scalar path is bit-identical to `Fft` — SIMD dispatch is bit-identical to
+//! [`FftPlan`] is the split-plane (SoA) FFT every OFDM and spectral path
+//! runs on: the bit-reversal permutation and **per-stage contiguous twiddle
+//! tables** are computed once, and each transform's butterfly stages run
+//! in one call of the runtime-dispatched [`crate::simd::fft_butterflies`]
+//! kernel. Twiddles are evaluated with the same `f64` angles as
+//! [`crate::fft::Fft`] (the radix-2 oracle), and the kernel's scalar twin
+//! performs the same arithmetic as its interleaved butterflies, so every
+//! transform is bit-identical to `Fft` — SIMD dispatch is bit-identical to
 //! the scalar path by kernel construction.
 //!
 //! [`FirPlan`] is the shareable, immutable half of an overlap-save FIR: the
@@ -26,14 +27,14 @@ pub struct FftPlan {
     n: usize,
     /// Bit-reversal permutation indices.
     rev: Vec<u32>,
-    /// Per-stage contiguous forward twiddles; stage `s` (block length
-    /// `2^{s+1}`) occupies `stage_off[s] .. stage_off[s] + 2^s`.
+    /// Per-stage contiguous forward twiddles in the layout
+    /// [`simd::fft_butterflies`] reads: the stage with half-block length
+    /// `h` occupies `h − 1 .. 2h − 1`.
     fwd_re: Vec<f32>,
     fwd_im: Vec<f32>,
     /// Conjugated twiddles for the inverse transform.
     inv_re: Vec<f32>,
     inv_im: Vec<f32>,
-    stage_off: Vec<usize>,
 }
 
 impl FftPlan {
@@ -50,10 +51,8 @@ impl FftPlan {
         let rev = (0..n as u32).map(|i| i.reverse_bits() >> (32 - bits)).collect();
         let mut fwd_re = Vec::with_capacity(n - 1);
         let mut fwd_im = Vec::with_capacity(n - 1);
-        let mut stage_off = Vec::with_capacity(bits as usize);
         let mut len = 2usize;
         while len <= n {
-            stage_off.push(fwd_re.len());
             for k in 0..len / 2 {
                 // Same f64 angle as `Fft`'s table (k·stride/n == k/len as
                 // exact rationals, so the rounded quotients agree).
@@ -73,7 +72,6 @@ impl FftPlan {
             fwd_im,
             inv_re,
             inv_im,
-            stage_off,
         }
     }
 
@@ -99,34 +97,6 @@ impl FftPlan {
         }
     }
 
-    fn butterflies(&self, re: &mut [f32], im: &mut [f32], inverse: bool) {
-        let n = self.n;
-        let (tw_re, tw_im) = if inverse {
-            (&self.inv_re, &self.inv_im)
-        } else {
-            (&self.fwd_re, &self.fwd_im)
-        };
-        let mut len = 2usize;
-        let mut s = 0usize;
-        while len <= n {
-            let half = len / 2;
-            let off = self.stage_off[s];
-            let (wr, wi) = (&tw_re[off..off + half], &tw_im[off..off + half]);
-            for start in (0..n).step_by(len) {
-                let (a_re, b_re) = re[start..start + len].split_at_mut(half);
-                let (a_im, b_im) = im[start..start + len].split_at_mut(half);
-                if half >= 8 {
-                    simd::butterfly_radix2(a_re, a_im, b_re, b_im, wr, wi);
-                } else {
-                    // Short spans: skip per-call dispatch, same arithmetic.
-                    simd::butterfly_radix2_reference(a_re, a_im, b_re, b_im, wr, wi);
-                }
-            }
-            len <<= 1;
-            s += 1;
-        }
-    }
-
     /// In-place forward DFT on split planes (no scaling). Bit-identical to
     /// [`crate::fft::Fft::forward`] on the same samples.
     ///
@@ -138,14 +108,11 @@ impl FftPlan {
             "plane length must equal FFT size"
         );
         self.permute(re, im);
-        self.butterflies(re, im, false);
+        simd::fft_butterflies(re, im, &self.fwd_re, &self.fwd_im);
     }
 
-    /// In-place inverse DFT on split planes, scaled by `1/n`.
-    ///
-    /// Always radix-2 (unlike [`crate::fft::Fft::inverse`], which merges
-    /// stages radix-4 on power-of-4 sizes); differs from it only by float
-    /// rounding.
+    /// In-place inverse DFT on split planes, scaled by `1/n`. Bit-identical
+    /// to [`crate::fft::Fft::inverse`] on the same samples.
     ///
     /// # Panics
     /// Panics if the planes are not exactly `len()` samples.
@@ -155,7 +122,7 @@ impl FftPlan {
             "plane length must equal FFT size"
         );
         self.permute(re, im);
-        self.butterflies(re, im, true);
+        simd::fft_butterflies(re, im, &self.inv_re, &self.inv_im);
         let k = 1.0 / self.n as f32;
         for v in re.iter_mut() {
             *v *= k;
@@ -178,8 +145,7 @@ impl FftPlan {
         );
         for start in (0..buf.len()).step_by(self.n) {
             let (re, im) = (&mut buf.re[start..start + self.n], &mut buf.im[start..start + self.n]);
-            self.permute(re, im);
-            self.butterflies(re, im, false);
+            self.forward_split(re, im);
         }
     }
 
@@ -298,16 +264,34 @@ mod tests {
     }
 
     #[test]
-    fn forward_split_is_bit_identical_to_fft_forward() {
-        for n in [2usize, 8, 32, 512, 1024, 2048] {
+    fn forward_and_inverse_split_are_bit_identical_to_fft() {
+        // n = 2 … 4096: below 16 no stage is vector-wide on any backend.
+        for bits in 1..=12u32 {
+            let n = 1usize << bits;
             let x = cnoise(n, n as u32 + 1);
-            let mut want = x.clone();
-            Fft::new(n).forward(&mut want);
-            let mut s = SplitC32::from_interleaved(&x);
-            FftPlan::new(n).forward_split(&mut s.re, &mut s.im);
-            for (i, w) in want.iter().enumerate() {
-                assert_eq!(s.re[i].to_bits(), w.re.to_bits(), "n={n} re[{i}]");
-                assert_eq!(s.im[i].to_bits(), w.im.to_bits(), "n={n} im[{i}]");
+            let (fft, plan) = (Fft::new(n), FftPlan::new(n));
+            for inverse in [false, true] {
+                let mut want = x.clone();
+                let mut s = SplitC32::from_interleaved(&x);
+                if inverse {
+                    fft.inverse(&mut want);
+                    plan.inverse_split(&mut s.re, &mut s.im);
+                } else {
+                    fft.forward(&mut want);
+                    plan.forward_split(&mut s.re, &mut s.im);
+                }
+                for (i, w) in want.iter().enumerate() {
+                    assert_eq!(
+                        s.re[i].to_bits(),
+                        w.re.to_bits(),
+                        "n={n} inverse={inverse} re[{i}]"
+                    );
+                    assert_eq!(
+                        s.im[i].to_bits(),
+                        w.im.to_bits(),
+                        "n={n} inverse={inverse} im[{i}]"
+                    );
+                }
             }
         }
     }

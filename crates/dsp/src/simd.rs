@@ -287,41 +287,94 @@ unsafe fn cmul_in_place_neon(a_re: &mut [f32], a_im: &mut [f32], b_re: &[f32], b
 }
 
 // ---------------------------------------------------------------------------
-// Radix-2 FFT butterfly stage on split planes
+// Radix-2 FFT butterflies on split planes
 // ---------------------------------------------------------------------------
 
-/// One radix-2 butterfly span on split planes: for each `k`,
-/// `t = b[k]·w[k]; b[k] = a[k] − t; a[k] = a[k] + t`.
+/// Every butterfly stage of an in-place radix-2 FFT on split planes whose
+/// samples are already in bit-reversed order: one dispatch per transform.
 ///
-/// `a` and `b` are the two halves of one butterfly block; `tw` holds the
-/// stage's contiguous twiddles. Bit-exact with
-/// [`butterfly_radix2_reference`].
-pub fn butterfly_radix2(
-    a_re: &mut [f32],
-    a_im: &mut [f32],
-    b_re: &mut [f32],
-    b_im: &mut [f32],
-    tw_re: &[f32],
-    tw_im: &[f32],
-) {
-    let h = a_re.len();
-    assert!(
-        a_im.len() == h && b_re.len() == h && b_im.len() == h && tw_re.len() == h && tw_im.len() == h,
-        "butterfly plane length mismatch"
-    );
+/// The twiddle planes hold each stage's twiddles contiguously: the stage
+/// with half-block length `h` (blocks of `2h` points) reads entries
+/// `h − 1 .. 2h − 1`, so an `n`-point transform needs `n − 1` of them.
+/// Every butterfly computes `t = b·w; b = a − t; a = a + t` on the block's
+/// halves `a`, `b`. Bit-exact with [`fft_butterflies_reference`]: the
+/// vector paths only change which butterflies share an instruction.
+///
+/// # Panics
+/// Panics unless the planes hold the same power-of-two count `n ≥ 2` of
+/// samples and the twiddle planes hold `n − 1` entries each.
+pub fn fft_butterflies(re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im: &[f32]) {
+    check_fft_planes(re, im, tw_re, tw_im);
     match backend() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch returned Avx2, so the CPU supports AVX2.
-        Backend::Avx2 => unsafe { butterfly_radix2_avx2(a_re, a_im, b_re, b_im, tw_re, tw_im) },
+        Backend::Avx2 => unsafe { fft_butterflies_avx2(re, im, tw_re, tw_im) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: dispatch returned Neon, so the CPU supports NEON.
-        Backend::Neon => unsafe { butterfly_radix2_neon(a_re, a_im, b_re, b_im, tw_re, tw_im) },
-        _ => butterfly_radix2_reference(a_re, a_im, b_re, b_im, tw_re, tw_im),
+        Backend::Neon => unsafe { fft_butterflies_neon(re, im, tw_re, tw_im) },
+        _ => fft_stages_reference(re, im, tw_re, tw_im),
     }
 }
 
-/// Scalar twin of [`butterfly_radix2`].
-pub fn butterfly_radix2_reference(
+/// Scalar twin of [`fft_butterflies`]: one stage after another, one
+/// butterfly after another.
+///
+/// # Panics
+/// As [`fft_butterflies`].
+pub fn fft_butterflies_reference(re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im: &[f32]) {
+    check_fft_planes(re, im, tw_re, tw_im);
+    fft_stages_reference(re, im, tw_re, tw_im);
+}
+
+fn check_fft_planes(re: &[f32], im: &[f32], tw_re: &[f32], tw_im: &[f32]) {
+    let n = re.len();
+    assert!(
+        n.is_power_of_two()
+            && n >= 2
+            && im.len() == n
+            && tw_re.len() == n - 1
+            && tw_im.len() == n - 1,
+        "FFT plane length mismatch"
+    );
+}
+
+/// Scalar butterflies for every stage.
+fn fft_stages_reference(re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im: &[f32]) {
+    let mut half = 1;
+    while half < re.len() {
+        for_each_block(re, im, tw_re, tw_im, half, butterfly_radix2_reference);
+        half *= 2;
+    }
+}
+
+/// Hands `span` the two halves of every block of the stage with half-block
+/// length `half`, together with that stage's twiddles.
+#[inline(always)]
+fn for_each_block(
+    re: &mut [f32],
+    im: &mut [f32],
+    tw_re: &[f32],
+    tw_im: &[f32],
+    half: usize,
+    mut span: impl FnMut(&mut [f32], &mut [f32], &mut [f32], &mut [f32], &[f32], &[f32]),
+) {
+    let (wr, wi) = (
+        &tw_re[half - 1..2 * half - 1],
+        &tw_im[half - 1..2 * half - 1],
+    );
+    for (r, i) in re
+        .chunks_exact_mut(2 * half)
+        .zip(im.chunks_exact_mut(2 * half))
+    {
+        let (a_re, b_re) = r.split_at_mut(half);
+        let (a_im, b_im) = i.split_at_mut(half);
+        span(a_re, a_im, b_re, b_im, wr, wi);
+    }
+}
+
+/// One radix-2 butterfly span: for each `k`,
+/// `t = b[k]·w[k]; b[k] = a[k] − t; a[k] = a[k] + t`.
+fn butterfly_radix2_reference(
     a_re: &mut [f32],
     a_im: &mut [f32],
     b_re: &mut [f32],
@@ -339,6 +392,103 @@ pub fn butterfly_radix2_reference(
         b_re[k] = ar - tr;
         b_im[k] = ai - ti;
     }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: caller guarantees AVX2 is available.
+unsafe fn fft_butterflies_avx2(re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im: &[f32]) {
+    use std::arch::x86_64::*;
+    let n = re.len();
+    if n < 8 {
+        return fft_stages_reference(re, im, tw_re, tw_im);
+    }
+    // Stages h = 1, 2, 4 run inside the registers of one 8-point block:
+    // each lane gets its butterfly partner (`a` or `b` of the pair) and
+    // twiddle by permutation, both `a + t` and `a − t` are formed, and a
+    // blend keeps the sum in the `a` lanes and the difference in the `b`
+    // lanes — the scalar arithmetic, one butterfly per lane.
+    let w = |k: usize| (tw_re[k], tw_im[k]);
+    let splat = |ks: [usize; 8]| {
+        let v = ks.map(w);
+        (
+            _mm256_setr_ps(
+                v[0].0, v[1].0, v[2].0, v[3].0, v[4].0, v[5].0, v[6].0, v[7].0,
+            ),
+            _mm256_setr_ps(
+                v[0].1, v[1].1, v[2].1, v[3].1, v[4].1, v[5].1, v[6].1, v[7].1,
+            ),
+        )
+    };
+    let w1 = splat([0; 8]);
+    let w2 = splat([1, 2, 1, 2, 1, 2, 1, 2]);
+    let w4 = splat([3, 4, 5, 6, 3, 4, 5, 6]);
+    for (r, i) in re.chunks_exact_mut(8).zip(im.chunks_exact_mut(8)) {
+        // SAFETY: `r` and `i` are exactly 8 floats each.
+        let (vr, vi) = unsafe { (_mm256_loadu_ps(r.as_ptr()), _mm256_loadu_ps(i.as_ptr())) };
+        let (vr, vi) = butterfly_lanes_avx2::<0xAA>(
+            (_mm256_moveldup_ps(vr), _mm256_moveldup_ps(vi)),
+            (_mm256_movehdup_ps(vr), _mm256_movehdup_ps(vi)),
+            w1,
+        );
+        let (vr, vi) = butterfly_lanes_avx2::<0xCC>(
+            (_mm256_permute_ps::<0x44>(vr), _mm256_permute_ps::<0x44>(vi)),
+            (_mm256_permute_ps::<0xEE>(vr), _mm256_permute_ps::<0xEE>(vi)),
+            w2,
+        );
+        let (vr, vi) = butterfly_lanes_avx2::<0xF0>(
+            (
+                _mm256_permute2f128_ps::<0x00>(vr, vr),
+                _mm256_permute2f128_ps::<0x00>(vi, vi),
+            ),
+            (
+                _mm256_permute2f128_ps::<0x11>(vr, vr),
+                _mm256_permute2f128_ps::<0x11>(vi, vi),
+            ),
+            w4,
+        );
+        // SAFETY: as for the loads above.
+        unsafe {
+            _mm256_storeu_ps(r.as_mut_ptr(), vr);
+            _mm256_storeu_ps(i.as_mut_ptr(), vi);
+        }
+    }
+    let mut half = 8;
+    while half < n {
+        for_each_block(
+            re,
+            im,
+            tw_re,
+            tw_im,
+            half,
+            |a_re, a_im, b_re, b_im, wr, wi| {
+                // SAFETY: this function only runs where AVX2 is available.
+                unsafe { butterfly_radix2_avx2(a_re, a_im, b_re, b_im, wr, wi) }
+            },
+        );
+        half *= 2;
+    }
+}
+
+/// Butterflies across the lanes of one 8-point block: lane `j` holds its
+/// pair's `a` and `b` (complex, as (re, im) vectors) and twiddle `w`; the
+/// result keeps `a + b·w` where `MASK` bit `j` is clear and `a − b·w` where
+/// it is set.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+fn butterfly_lanes_avx2<const MASK: i32>(
+    a: (std::arch::x86_64::__m256, std::arch::x86_64::__m256),
+    b: (std::arch::x86_64::__m256, std::arch::x86_64::__m256),
+    w: (std::arch::x86_64::__m256, std::arch::x86_64::__m256),
+) -> (std::arch::x86_64::__m256, std::arch::x86_64::__m256) {
+    use std::arch::x86_64::*;
+    let tr = _mm256_sub_ps(_mm256_mul_ps(b.0, w.0), _mm256_mul_ps(b.1, w.1));
+    let ti = _mm256_add_ps(_mm256_mul_ps(b.0, w.1), _mm256_mul_ps(b.1, w.0));
+    (
+        _mm256_blend_ps::<MASK>(_mm256_add_ps(a.0, tr), _mm256_sub_ps(a.0, tr)),
+        _mm256_blend_ps::<MASK>(_mm256_add_ps(a.1, ti), _mm256_sub_ps(a.1, ti)),
+    )
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -382,6 +532,32 @@ unsafe fn butterfly_radix2_avx2(
         &tw_re[h8..],
         &tw_im[h8..],
     );
+}
+
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+// SAFETY: caller guarantees NEON is available.
+unsafe fn fft_butterflies_neon(re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im: &[f32]) {
+    // Stages narrower than one 4-lane vector stay scalar (same arithmetic).
+    let mut half = 1;
+    while half < re.len().min(4) {
+        for_each_block(re, im, tw_re, tw_im, half, butterfly_radix2_reference);
+        half *= 2;
+    }
+    while half < re.len() {
+        for_each_block(
+            re,
+            im,
+            tw_re,
+            tw_im,
+            half,
+            |a_re, a_im, b_re, b_im, wr, wi| {
+                // SAFETY: this function only runs where NEON is available.
+                unsafe { butterfly_radix2_neon(a_re, a_im, b_re, b_im, wr, wi) }
+            },
+        );
+        half *= 2;
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -1221,25 +1397,28 @@ mod tests {
     }
 
     #[test]
-    fn butterfly_radix2_matches_butterfly_radix2_reference_bit_exactly() {
-        for &n in &LENS {
-            let (tr, ti) = (noise(n, 21), noise(n, 22));
-            let mut g = [noise(n, 31), noise(n, 32), noise(n, 33), noise(n, 34)];
-            let mut w = g.clone();
-            {
-                let [ar, ai, br, bi] = &mut g;
-                butterfly_radix2(ar, ai, br, bi, &tr, &ti);
-            }
-            {
-                let [ar, ai, br, bi] = &mut w;
-                butterfly_radix2_reference(ar, ai, br, bi, &tr, &ti);
-            }
-            for p in 0..4 {
-                for i in 0..n {
-                    assert_eq!(g[p][i].to_bits(), w[p][i].to_bits(), "plane {p} n={n} i={i}");
-                }
+    fn fft_butterflies_matches_fft_butterflies_reference_bit_exactly() {
+        // Every power of two up to 4096: sizes below 8 have no in-register
+        // block, 8 has nothing else, and the larger ones add span stages.
+        for bits in 1..=12u32 {
+            let n = 1usize << bits;
+            let (tr, ti) = (noise(n - 1, 21 + bits), noise(n - 1, 22 + bits));
+            let (mut gr, mut gi) = (noise(n, 31 + bits), noise(n, 32 + bits));
+            let (mut wr, mut wi) = (gr.clone(), gi.clone());
+            fft_butterflies(&mut gr, &mut gi, &tr, &ti);
+            fft_butterflies_reference(&mut wr, &mut wi, &tr, &ti);
+            for i in 0..n {
+                assert_eq!(gr[i].to_bits(), wr[i].to_bits(), "re n={n} i={i}");
+                assert_eq!(gi[i].to_bits(), wi[i].to_bits(), "im n={n} i={i}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "FFT plane length mismatch")]
+    fn fft_butterflies_rejects_short_twiddles() {
+        let (mut re, mut im) = (vec![0.0f32; 16], vec![0.0f32; 16]);
+        fft_butterflies(&mut re, &mut im, &[0.0; 14], &[0.0; 14]);
     }
 
     #[test]

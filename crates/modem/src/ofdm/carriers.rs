@@ -5,7 +5,7 @@
 //! through the logical indices; the rest carry data.
 
 use crate::profile::Profile;
-use sonic_dsp::C32;
+use sonic_dsp::{FftPlan, SplitC32, C32};
 
 /// A small PRBS used for pilot and reference values (x⁷+x⁶+1, period 127).
 #[derive(Debug, Clone)]
@@ -69,7 +69,8 @@ pub struct CarrierPlan {
     pub preamble_body: Vec<C32>,
     /// Total energy of [`preamble_body`](Self::preamble_body).
     pub preamble_energy: f32,
-    fft_size: usize,
+    /// The one FFT plan the modulator and demodulator transform symbols on.
+    fft: FftPlan,
 }
 
 impl CarrierPlan {
@@ -129,16 +130,20 @@ impl CarrierPlan {
 
         // Cache the preamble's time-domain body: IFFT of the scattered
         // preamble values, scaled by √N like every transmitted symbol.
-        let fft = sonic_dsp::Fft::new(profile.fft_size);
-        let mut preamble_body = vec![C32::ZERO; profile.fft_size];
+        let fft = FftPlan::new(profile.fft_size);
+        let mut body = SplitC32::zeroed(profile.fft_size);
         for (v, &b) in preamble.iter().zip(&bins) {
-            preamble_body[b] = *v;
+            body.re[b] = v.re;
+            body.im[b] = v.im;
         }
-        fft.inverse(&mut preamble_body);
+        fft.inverse_split(&mut body.re, &mut body.im);
         let gain = (profile.fft_size as f32).sqrt();
-        for v in preamble_body.iter_mut() {
-            *v = v.scale(gain);
-        }
+        let preamble_body: Vec<C32> = body
+            .re
+            .iter()
+            .zip(&body.im)
+            .map(|(&re, &im)| C32::new(re, im).scale(gain))
+            .collect();
         let preamble_energy = preamble_body.iter().map(|v| v.norm_sq()).sum();
 
         CarrierPlan {
@@ -150,13 +155,18 @@ impl CarrierPlan {
             preamble,
             preamble_body,
             preamble_energy,
-            fft_size: profile.fft_size,
+            fft,
         }
     }
 
     /// FFT size the bins index into.
     pub fn fft_size(&self) -> usize {
-        self.fft_size
+        self.fft.len()
+    }
+
+    /// The planned FFT symbols are transformed on.
+    pub fn fft(&self) -> &FftPlan {
+        &self.fft
     }
 
     /// Places per-carrier values into a zeroed FFT buffer.
@@ -166,7 +176,7 @@ impl CarrierPlan {
     /// buffer from the FFT size.
     pub fn scatter(&self, values: &[C32], fft_buf: &mut [C32]) {
         assert_eq!(values.len(), self.bins.len());
-        assert_eq!(fft_buf.len(), self.fft_size);
+        assert_eq!(fft_buf.len(), self.fft_size());
         fft_buf.fill(C32::ZERO);
         for (v, &b) in values.iter().zip(&self.bins) {
             fft_buf[b] = *v;
@@ -175,13 +185,13 @@ impl CarrierPlan {
 
     /// Collects per-carrier values from an FFT output buffer.
     pub fn gather(&self, fft_buf: &[C32]) -> Vec<C32> {
-        assert_eq!(fft_buf.len(), self.fft_size);
+        assert_eq!(fft_buf.len(), self.fft_size());
         self.bins.iter().map(|&b| fft_buf[b]).collect()
     }
 
     /// [`gather`](Self::gather) into a reused buffer (cleared first).
     pub fn gather_into(&self, fft_buf: &[C32], out: &mut Vec<C32>) {
-        assert_eq!(fft_buf.len(), self.fft_size);
+        assert_eq!(fft_buf.len(), self.fft_size());
         out.clear();
         out.resize(self.bins.len(), C32::ZERO);
         for (o, &b) in out.iter_mut().zip(&self.bins) {
@@ -192,8 +202,8 @@ impl CarrierPlan {
     /// [`gather_into`](Self::gather_into) from split-plane (SoA) FFT output,
     /// as produced by [`sonic_dsp::plan::FftPlan::forward_split`].
     pub fn gather_split_into(&self, re: &[f32], im: &[f32], out: &mut Vec<C32>) {
-        assert_eq!(re.len(), self.fft_size);
-        assert_eq!(im.len(), self.fft_size);
+        assert_eq!(re.len(), self.fft_size());
+        assert_eq!(im.len(), self.fft_size());
         out.clear();
         out.resize(self.bins.len(), C32::ZERO);
         for (o, &b) in out.iter_mut().zip(&self.bins) {

@@ -12,7 +12,7 @@ use crate::constellation::{demap_soft_batch, Modulation};
 use crate::profile::Profile;
 use sonic_dsp::fir::{design_lowpass, BlockFirC, Fir};
 use sonic_dsp::osc::{downconvert, Nco, PhasorTable};
-use sonic_dsp::plan::{FftPlan, FirPlan};
+use sonic_dsp::plan::FirPlan;
 use sonic_dsp::split::SplitC32;
 use sonic_dsp::C32;
 use std::sync::Arc;
@@ -46,11 +46,10 @@ fn derotate_window(window: &mut [C32], phase0: f64, step: f64) {
 #[derive(Debug)]
 pub struct Demodulator {
     profile: Profile,
+    /// Carrier layout, and the FFT plan the per-symbol forward transforms
+    /// run on (the modulator's plan too; bit-identical to
+    /// `sonic_dsp::Fft::forward`).
     plan: CarrierPlan,
-    /// Planned split-plane FFT for the per-symbol forward transforms; its
-    /// butterflies run through the runtime-dispatched SIMD kernels and are
-    /// bit-identical to [`Fft::forward`].
-    fft_plan: FftPlan,
     /// Shared overlap-save plan for the baseband low-pass, built once so
     /// every [`to_baseband`](Self::to_baseband) call reuses the taps FFT.
     lpf_plan: Arc<FirPlan>,
@@ -93,12 +92,10 @@ impl Demodulator {
         // Pass the occupied band with margin, stop well before the −2·f_c image.
         let cutoff = ((profile.bandwidth() / 2.0 + 600.0) / profile.sample_rate).min(0.45);
         let lpf_taps = design_lowpass(LPF_TAPS, cutoff);
-        let fft_plan = FftPlan::new(profile.fft_size);
         let lpf_plan = FirPlan::shared(&lpf_taps);
         Demodulator {
             profile,
             plan,
-            fft_plan,
             lpf_plan,
             lpf_taps,
         }
@@ -211,7 +208,7 @@ impl Demodulator {
             // Split-plane FFT: bit-identical to `Fft::forward`, with the
             // butterflies running through the dispatched SIMD kernels.
             split.copy_from_interleaved(&buf);
-            self.fft_plan.forward_split(&mut split.re, &mut split.im);
+            self.plan.fft().forward_split(&mut split.re, &mut split.im);
             self.plan.gather_split_into(&split.re, &split.im, &mut vals);
             for (h, (y, x)) in channel.iter_mut().zip(vals.iter().zip(&self.plan.training)) {
                 *h += *y / *x;
@@ -285,8 +282,7 @@ impl BurstReader<'_, '_> {
         }
         // Split-plane FFT (bit-identical to `Fft::forward`, SIMD butterflies).
         self.split_buf.copy_from_interleaved(buf);
-        self.demod
-            .fft_plan
+        plan.fft()
             .forward_split(&mut self.split_buf.re, &mut self.split_buf.im);
         let vals = &mut self.vals_buf;
         plan.gather_split_into(&self.split_buf.re, &self.split_buf.im, vals);

@@ -5,11 +5,11 @@
 //! raised-cosine edge ramps so the burst keys on and off without clicks.
 
 use super::carriers::CarrierPlan;
-use crate::constellation::{map_bits, Modulation};
+use crate::constellation::{map_bits, points, Modulation};
 use crate::profile::Profile;
 use sonic_dsp::osc::{upconvert, Nco, PhasorTable};
 use sonic_dsp::window::raised_cosine_edge;
-use sonic_dsp::{C32, Fft};
+use sonic_dsp::{Fft, SplitC32, C32};
 
 /// Reusable working memory for [`Modulator::modulate_bits_into`].
 ///
@@ -20,10 +20,9 @@ use sonic_dsp::{C32, Fft};
 #[derive(Debug)]
 pub struct ModulatorScratch {
     phasors: PhasorTable,
-    /// FFT-size symbol buffer.
-    sym: Vec<C32>,
-    /// Active-carrier value buffer.
-    vals: Vec<C32>,
+    /// FFT-size split planes each symbol is scattered into and transformed
+    /// in.
+    sym: SplitC32,
     /// Complex-baseband burst buffer.
     baseband: Vec<C32>,
     /// Cached raised-cosine edge ramp (keyed by its length).
@@ -35,8 +34,7 @@ impl ModulatorScratch {
     pub fn new(profile: &Profile) -> Self {
         ModulatorScratch {
             phasors: PhasorTable::new(profile.sample_rate, profile.center_freq),
-            sym: Vec::new(),
-            vals: Vec::new(),
+            sym: SplitC32::new(),
             baseband: Vec::new(),
             ramp: Vec::new(),
         }
@@ -48,15 +46,31 @@ impl ModulatorScratch {
 pub struct Modulator {
     profile: Profile,
     plan: CarrierPlan,
-    fft: Fft,
+    /// FFT bin of every pilot carrier, in pilot order.
+    pilot_bins: Vec<usize>,
+    /// FFT bin of every data carrier, in transmission order.
+    data_bins: Vec<usize>,
+    /// Payload constellation by packed bit pattern (first bit most
+    /// significant), i.e. [`points`] of the profile's modulation.
+    payload_points: Vec<C32>,
+    /// Header constellation: [`points`] of BPSK.
+    header_points: Vec<C32>,
 }
 
 impl Modulator {
     /// Creates a modulator (validates the profile).
     pub fn new(profile: Profile) -> Self {
         let plan = CarrierPlan::new(&profile);
-        let fft = Fft::new(profile.fft_size);
-        Modulator { profile, plan, fft }
+        let pilot_bins = plan.pilot_idx.iter().map(|&i| plan.bins[i]).collect();
+        let data_bins = plan.data_idx.iter().map(|&i| plan.bins[i]).collect();
+        Modulator {
+            payload_points: points(profile.modulation),
+            header_points: points(Modulation::Bpsk),
+            profile,
+            plan,
+            pilot_bins,
+            data_bins,
+        }
     }
 
     /// The profile this modulator implements.
@@ -71,10 +85,10 @@ impl Modulator {
 
     /// Converts frequency-domain carrier values into one time-domain symbol
     /// (IFFT + cyclic prefix), appended to `out` as complex baseband.
-    fn push_symbol(&self, values: &[C32], out: &mut Vec<C32>) {
+    fn push_symbol(&self, fft: &Fft, values: &[C32], out: &mut Vec<C32>) {
         let mut buf = vec![C32::ZERO; self.profile.fft_size];
         self.plan.scatter(values, &mut buf);
-        self.fft.inverse(&mut buf);
+        fft.inverse(&mut buf);
         // √N undoes the 1/N of the inverse FFT up to unitary scaling; the
         // final burst level is normalized to `tx_level` in `modulate_bits`.
         let gain = (self.profile.fft_size as f32).sqrt();
@@ -93,13 +107,14 @@ impl Modulator {
     /// plus the coded header bits.
     fn baseband(&self, header_bits: &[u8], payload_bits: &[u8]) -> Vec<C32> {
         let plan = &self.plan;
+        let fft = Fft::new(self.profile.fft_size);
         let active = plan.bins.len();
         let mut out = Vec::new();
 
         // Preamble (Schmidl-Cox) and two training symbols.
-        self.push_symbol(&plan.preamble, &mut out);
-        self.push_symbol(&plan.training, &mut out);
-        self.push_symbol(&plan.training, &mut out);
+        self.push_symbol(&fft, &plan.preamble, &mut out);
+        self.push_symbol(&fft, &plan.training, &mut out);
+        self.push_symbol(&fft, &plan.training, &mut out);
 
         // Header symbol: BPSK on data carriers, pilots in place.
         let mut header_vals = vec![C32::ZERO; active];
@@ -110,7 +125,7 @@ impl Modulator {
             let bit = header_bits.get(k).copied().unwrap_or((k % 2) as u8);
             header_vals[idx] = map_bits(Modulation::Bpsk, &[bit]);
         }
-        self.push_symbol(&header_vals, &mut out);
+        self.push_symbol(&fft, &header_vals, &mut out);
 
         // Payload symbols.
         let bps = self.profile.modulation.bits_per_symbol();
@@ -129,12 +144,14 @@ impl Modulator {
                 }
                 vals[idx] = map_bits(self.profile.modulation, &bits[..bps]);
             }
-            self.push_symbol(&vals, &mut out);
+            self.push_symbol(&fft, &vals, &mut out);
         }
         out
     }
 
-    /// Modulates coded header/payload bits into real audio samples.
+    /// Modulates coded header/payload bits into real audio samples: the
+    /// executable specification of [`modulate_bits_into`](Self::modulate_bits_into),
+    /// on the interleaved oracle FFT and a live oscillator.
     ///
     /// The output includes `cp_len` samples of leading and trailing silence
     /// as an inter-burst guard.
@@ -169,30 +186,42 @@ impl Modulator {
         audio
     }
 
-    /// [`push_symbol`](Self::push_symbol) with a caller-provided FFT buffer.
-    fn push_symbol_into(&self, values: &[C32], out: &mut Vec<C32>, buf: &mut Vec<C32>) {
-        buf.resize(self.profile.fft_size, C32::ZERO);
-        self.plan.scatter(values, buf); // zeroes the buffer before writing
-        self.fft.inverse(buf);
+    /// Transforms the scattered symbol in `sym` (IFFT on the carrier plan's
+    /// FFT) and appends it to `out` with its cyclic prefix, scaled by √N.
+    fn push_symbol_into(&self, sym: &mut SplitC32, out: &mut Vec<C32>) {
+        self.plan.fft().inverse_split(&mut sym.re, &mut sym.im);
         let gain = (self.profile.fft_size as f32).sqrt();
         let cp = self.profile.cp_len;
         let n = self.profile.fft_size;
         let start = out.len();
         out.resize(start + cp + n, C32::ZERO);
-        let o = &mut out[start..];
         // Cyclic prefix (last cp samples) first, then the whole body.
-        for (o, v) in o[..cp].iter_mut().zip(&buf[n - cp..n]) {
-            *o = v.scale(gain);
+        let (prefix, body) = out[start..].split_at_mut(cp);
+        for (o, (&re, &im)) in prefix
+            .iter_mut()
+            .zip(sym.re[n - cp..].iter().zip(&sym.im[n - cp..]))
+        {
+            *o = C32::new(re, im).scale(gain);
         }
-        for (o, v) in o[cp..].iter_mut().zip(buf.iter()) {
-            *o = v.scale(gain);
+        for (o, (&re, &im)) in body.iter_mut().zip(sym.re.iter().zip(&sym.im)) {
+            *o = C32::new(re, im).scale(gain);
+        }
+    }
+
+    /// Zeroes `sym` to one FFT-size symbol and places `values` at `bins`.
+    fn scatter_into(&self, bins: &[usize], values: &[C32], sym: &mut SplitC32) {
+        sym.resize(self.profile.fft_size);
+        sym.fill_zero();
+        for (&b, &v) in bins.iter().zip(values) {
+            put(sym, b, v);
         }
     }
 
     /// Allocation-free variant of [`modulate_bits`](Self::modulate_bits):
     /// all working memory lives in `scratch`, the audio is appended to a
-    /// cleared `audio`, and the oscillator trig comes from the scratch's
-    /// phasor table. Output is bit-identical to `modulate_bits`.
+    /// cleared `audio`, carriers map through the constellation tables and
+    /// the oscillator trig comes from the scratch's phasor table. Coded bits
+    /// are 0 or 1. Output is bit-identical to `modulate_bits`.
     pub fn modulate_bits_into(
         &self,
         header_bits: &[u8],
@@ -201,46 +230,57 @@ impl Modulator {
         audio: &mut Vec<f32>,
     ) {
         let plan = &self.plan;
-        let active = plan.bins.len();
         let baseband = &mut scratch.baseband;
+        let sym = &mut scratch.sym;
         baseband.clear();
 
         // Preamble (Schmidl-Cox) and two training symbols.
-        self.push_symbol_into(&plan.preamble, baseband, &mut scratch.sym);
-        self.push_symbol_into(&plan.training, baseband, &mut scratch.sym);
-        self.push_symbol_into(&plan.training, baseband, &mut scratch.sym);
+        for values in [&plan.preamble, &plan.training, &plan.training] {
+            self.scatter_into(&plan.bins, values, sym);
+            self.push_symbol_into(sym, baseband);
+        }
 
         // Header symbol: BPSK on data carriers, pilots in place.
-        let vals = &mut scratch.vals;
-        vals.clear();
-        vals.resize(active, C32::ZERO);
-        for (k, &idx) in plan.pilot_idx.iter().enumerate() {
-            vals[idx] = plan.pilot_values[k];
-        }
-        for (k, &idx) in plan.data_idx.iter().enumerate() {
+        self.scatter_into(&self.pilot_bins, &plan.pilot_values, sym);
+        for (k, &b) in self.data_bins.iter().enumerate() {
             let bit = header_bits.get(k).copied().unwrap_or((k % 2) as u8);
-            vals[idx] = map_bits(Modulation::Bpsk, &[bit]);
+            put(sym, b, self.header_points[usize::from(bit == 1)]);
         }
-        self.push_symbol_into(vals, baseband, &mut scratch.sym);
+        self.push_symbol_into(sym, baseband);
 
-        // Payload symbols.
+        // Payload symbols; a partial last symbol is padded with the same
+        // filler bits as `modulate_bits`.
         let bps = self.profile.modulation.bits_per_symbol();
         let per_sym = self.profile.data_carriers * bps;
         let n_syms = payload_bits.len().div_ceil(per_sym);
+        let pattern = |bits: &[u8]| {
+            bits.iter()
+                .fold(0usize, |acc, &bit| (acc << 1) | usize::from(bit & 1))
+        };
         for s in 0..n_syms {
-            vals.fill(C32::ZERO);
-            for (k, &idx) in plan.pilot_idx.iter().enumerate() {
-                vals[idx] = plan.pilot_values[k];
-            }
-            for (c, &idx) in plan.data_idx.iter().enumerate() {
-                let mut bits = [0u8; 10];
-                for (b, bit) in bits.iter_mut().enumerate().take(bps) {
-                    let pos = s * per_sym + c * bps + b;
-                    *bit = payload_bits.get(pos).copied().unwrap_or(((pos ^ (pos >> 3)) % 2) as u8);
+            self.scatter_into(&self.pilot_bins, &plan.pilot_values, sym);
+            let first = s * per_sym;
+            match payload_bits.get(first..first + per_sym) {
+                Some(bits) => {
+                    for (&b, bits) in self.data_bins.iter().zip(bits.chunks_exact(bps)) {
+                        put(sym, b, self.payload_points[pattern(bits)]);
+                    }
                 }
-                vals[idx] = map_bits(self.profile.modulation, &bits[..bps]);
+                None => {
+                    for (c, &b) in self.data_bins.iter().enumerate() {
+                        let mut bits = [0u8; 10];
+                        for (i, bit) in bits.iter_mut().enumerate().take(bps) {
+                            let pos = first + c * bps + i;
+                            *bit = payload_bits
+                                .get(pos)
+                                .copied()
+                                .unwrap_or(((pos ^ (pos >> 3)) % 2) as u8);
+                        }
+                        put(sym, b, self.payload_points[pattern(&bits[..bps])]);
+                    }
+                }
             }
-            self.push_symbol_into(vals, baseband, &mut scratch.sym);
+            self.push_symbol_into(sym, baseband);
         }
 
         // Upconvert with cached phasors and apply the same normalization and
@@ -275,11 +315,25 @@ impl Modulator {
     }
 }
 
+/// Writes carrier value `v` into FFT bin `bin` of the split planes.
+fn put(sym: &mut SplitC32, bin: usize, v: C32) {
+    sym.re[bin] = v.re;
+    sym.im[bin] = v.im;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sonic_dsp::fft::dft_real;
     use sonic_dsp::measure;
+
+    /// Full spectrum of `audio`, zero-padded to a power of two.
+    fn spectrum(audio: &[f32]) -> Vec<C32> {
+        let n = audio.len().next_power_of_two();
+        let mut buf: Vec<C32> = audio.iter().map(|&x| C32::new(x, 0.0)).collect();
+        buf.resize(n, C32::ZERO);
+        Fft::new(n).forward(&mut buf);
+        buf
+    }
 
     fn modulator() -> Modulator {
         Modulator::new(Profile::sonic_10k())
@@ -310,7 +364,7 @@ mod tests {
     fn spectrum_is_centered_on_carrier() {
         let m = modulator();
         let audio = m.modulate_bits(&[1; 80], &vec![0u8; 552 * 4]);
-        let spec = dft_real(&audio);
+        let spec = spectrum(&audio);
         let n = spec.len();
         let fs = m.profile().sample_rate;
         let bin_hz = fs / n as f64;

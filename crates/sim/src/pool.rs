@@ -5,14 +5,16 @@
 //! pure function of its inputs — the channel RNG is seeded per job — so they
 //! can run on any thread in any order without changing a single result.
 //! [`run_ordered`] fans a job list over a pool of scoped workers connected by
-//! **bounded** crossbeam channels (the same back-pressure pattern as the
-//! broadcast pipeline in `sonic-core`'s `server::pipeline`), and a
+//! **bounded** `std::sync::mpsc::sync_channel`s (the same back-pressure
+//! pattern as the broadcast pipeline in `sonic-core`'s `server::pipeline`;
+//! the workers share the job receiver behind a `Mutex`), and a
 //! sequence-tagged reorder buffer yields the outputs in job order. The
 //! returned vector is therefore identical to `jobs.into_iter().map(f)` no
 //! matter how many workers run — seed-stable parallelism, not racy speedup.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::BTreeMap;
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Arc, Mutex};
 
 /// Default worker count: `SONIC_SIM_WORKERS` if set, else the machine's
 /// available parallelism. A value of 1 disables threading entirely.
@@ -42,24 +44,24 @@ where
     // Bounded queues: the feeder stalls when workers fall behind, and the
     // workers stall when the sink does, so in-flight memory stays O(workers).
     let depth = workers * 2;
-    let (job_tx, job_rx) = bounded::<(usize, I)>(depth);
-    let (out_tx, out_rx) = bounded::<(usize, O)>(depth);
+    let (job_tx, job_rx) = sync_channel::<(usize, I)>(depth);
+    let (out_tx, out_rx) = sync_channel::<(usize, O)>(depth);
+    let job_rx = Arc::new(Mutex::new(job_rx));
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let job_rx: Receiver<(usize, I)> = job_rx.clone();
-            let out_tx: Sender<(usize, O)> = out_tx.clone();
+            let (job_rx, out_tx) = (Arc::clone(&job_rx), out_tx.clone());
             let f = &f;
             scope.spawn(move || {
-                for (seq, job) in job_rx {
+                while let Some((seq, job)) = next_job(&job_rx) {
                     if out_tx.send((seq, f(job))).is_err() {
                         return;
                     }
                 }
             });
         }
-        // The scope keeps the clones alive inside the workers; drop ours so
-        // the channels close once the feeder finishes and workers drain.
+        // The workers hold the clones; drop ours so the output channel
+        // closes once they drain, and the feeder stops if they all die.
         drop(job_rx);
         drop(out_tx);
 
@@ -86,6 +88,15 @@ where
         assert_eq!(out.len(), total, "worker pool lost results");
         out
     })
+}
+
+/// Takes the next job off a receiver the workers share; `None` once the
+/// feeder has hung up and the queue is drained.
+fn next_job<T>(rx: &Mutex<Receiver<T>>) -> Option<T> {
+    // A worker that panicked while waiting leaves nothing half-updated in
+    // the receiver, so its guard is still sound.
+    let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
+    rx.recv().ok()
 }
 
 #[cfg(test)]
