@@ -1,8 +1,8 @@
 //! Performance acceptance bench for the content-addressed broadcast
 //! artifact cache.
 //!
-//! Two workloads, both over the standard 100-page corpus rendered at hour
-//! 12 (audio included — render → strip encode → chunk → OFDM modulate):
+//! Three workloads over the standard 100-page corpus, audio included
+//! (render → strip encode → chunk → OFDM modulate):
 //!
 //! 1. **Strip-mutation carousel** (the acceptance target). 15% of the
 //!    pages get a localized edit — a widget-sized block of a few columns
@@ -25,30 +25,23 @@
 //!    every frame). Gate: warm day ≥4x faster than the cold day. The
 //!    single hour-12→13 figure is also reported for continuity with the
 //!    PR3 baseline.
-//! 3. **Incremental delta carousel** (tentpole). The same broadcast day
-//!    through `refresh_carousel`: unchanged pages air nothing, changed
-//!    pages take delta slots (meta bracket + changed columns' chunks,
-//!    modulated directly). Gate: ≥4x over the cold day, plus air-byte
-//!    accounting against a naive full-page carousel.
-//! 4. **Warm restart** (tentpole). Hour-6 corpus built onto the disk
-//!    artifact store, all RAM state dropped, store reopened from its
-//!    index log, hour re-refreshed: every page must promote from disk
-//!    (zero misses), ≥5x faster than the cold boot that seeded it.
-//! 5. **Ticker carousel** (informational, counts only): the partial-width
-//!    update regime via `sonic_sim::carousel::run_ticker_carousel`, where
-//!    column deltas cut air bytes outright.
+//! 3. **Warm restart**. Hour-6 corpus built onto the disk artifact store,
+//!    all RAM state dropped, store reopened from its index log, hour
+//!    re-refreshed: every page must promote from disk (zero misses), ≥5x
+//!    faster than the cold boot that seeded it.
 //!
 //! Results (timings, pages/s, hit rates) go to `BENCH_broadcast.json` at
 //! the repo root, alongside a static `baseline_pr3` block preserving the
-//! pre-store numbers. `--smoke` runs a reduced corpus once and reports
+//! pre-store numbers and a static `delta_carousel_removed` block keeping
+//! the last air-saving figures of the deleted delta carousel (DESIGN.md
+//! §12.4). `--smoke` runs a reduced corpus once and reports
 //! ratios informationally — CI uses it to prove the bench builds and the
 //! cache + disk-store paths work end to end (`SONIC_STORE_DIR` overrides
 //! the store location; default is a self-cleaning temp dir).
 
 use sonic_core::server::cache::{share_store, ArtifactCache, TieredCache};
 use sonic_core::server::pipeline::{
-    refresh_carousel, refresh_page_with, refresh_pages, CarouselSlot, CarouselStats, PageJob,
-    RefreshPath, RefreshStats, RenderedContent,
+    refresh_page_with, refresh_pages, PageJob, RefreshPath, RefreshStats, RenderedContent,
 };
 use sonic_core::server::render::Renderer;
 use sonic_core::server::store::ArtifactStore;
@@ -226,18 +219,7 @@ fn add_refresh_stats(acc: &mut RefreshStats, s: &RefreshStats) {
     acc.misses += s.misses;
 }
 
-fn add_carousel_stats(acc: &mut CarouselStats, s: &CarouselStats) {
-    acc.pages += s.pages;
-    acc.unchanged += s.unchanged;
-    acc.full_slots += s.full_slots;
-    acc.delta_slots += s.delta_slots;
-    acc.full_frames += s.full_frames;
-    acc.delta_frames += s.delta_frames;
-    acc.columns_changed += s.columns_changed;
-    acc.columns_total += s.columns_total;
-}
-
-/// Aggregate results of one simulated broadcast day (workloads 2 and 3).
+/// Aggregate results of one simulated broadcast day (workload 2).
 struct DayResults {
     /// Hourly transitions simulated.
     day_hours: usize,
@@ -251,21 +233,12 @@ struct DayResults {
     /// Total warm time through `refresh_pages` with one day-long cache.
     churn_warm_s: f64,
     churn_stats: RefreshStats,
-    /// Total warm time through `refresh_carousel` with one day-long cache.
-    car_warm_s: f64,
-    car_stats: CarouselStats,
-    /// Air bytes a naive carousel would spend (full frames for every page
-    /// that airs), summed over the day.
-    air_naive: usize,
-    /// Air bytes the incremental carousel actually schedules.
-    air_inc: usize,
 }
 
 /// Simulates one broadcast day: `day_hours` hourly transitions following
-/// `start_hour`. Three passes over the same hours — warm churn
-/// (`refresh_pages`, one cache primed untimed at `start_hour`), warm
-/// carousel (`refresh_carousel`, same shape), then the cold baseline
-/// (fresh cache every hour, the no-cache station). The cold pass runs
+/// `start_hour`. Two passes over the same hours — warm churn
+/// (`refresh_pages`, one cache primed untimed at `start_hour`), then the
+/// cold baseline (fresh cache every hour, the no-cache station). The cold pass runs
 /// last, after the allocator is fully warm, which can only flatter it.
 fn broadcast_day(
     renderer: &Renderer,
@@ -302,30 +275,6 @@ fn broadcast_day(
     }
     drop(cache);
 
-    // Warm carousel: same day, slots + air accounting.
-    let mut cache = ArtifactCache::unbounded();
-    let (prime, _) = refresh_pages(renderer, &mut cache, &jobs_at(renderer, start_hour), Some(profile));
-    black_box(&prime);
-    drop(prime);
-    let mut car_warm_s = 0.0;
-    let mut car_stats = CarouselStats::default();
-    let (mut air_naive, mut air_inc) = (0usize, 0usize);
-    for &h in &hours {
-        let jobs = jobs_at(renderer, h);
-        let t = Instant::now();
-        let (items, s) = refresh_carousel(renderer, &mut cache, &jobs, profile);
-        car_warm_s += t.elapsed().as_secs_f64();
-        air_naive += items
-            .iter()
-            .filter(|i| !matches!(i.slot, CarouselSlot::Unchanged))
-            .map(|i| i.artifact.frames.len() * sonic_core::frame::FRAME_SIZE)
-            .sum::<usize>();
-        air_inc += (s.full_frames + s.delta_frames) * sonic_core::frame::FRAME_SIZE;
-        black_box(&items);
-        add_carousel_stats(&mut car_stats, &s);
-    }
-    drop(cache);
-
     // Cold baseline: a station with no cache rebuilds everything hourly.
     let mut cold_s = 0.0;
     for &h in &hours {
@@ -344,14 +293,10 @@ fn broadcast_day(
         cold_s,
         churn_warm_s,
         churn_stats,
-        car_warm_s,
-        car_stats,
-        air_naive,
-        air_inc,
     }
 }
 
-/// One warm-restart cycle (workload 4) in `dir` (wiped first): cold boot
+/// One warm-restart cycle (workload 3) in `dir` (wiped first): cold boot
 /// onto an empty store, drop every handle, reopen and re-refresh. Returns
 /// (boot s, restart s, promoted, restart misses, store entries, blob bytes).
 fn warm_restart_cycle(
@@ -526,7 +471,7 @@ fn main() {
     };
     println!("  speedup {speedup:>5.2}x (need >= {need:.1}x)  [{verdict}]");
 
-    // --- workloads 2 + 3: one broadcast day --------------------------------
+    // --- workload 2: one broadcast day -------------------------------------
     let day_hours = if smoke { 6 } else { 24 };
     let day = broadcast_day(&renderer, &profile, hour, day_hours);
 
@@ -568,42 +513,7 @@ fn main() {
         sh_stats.delta_hits
     );
 
-    // --- workload 3: incremental delta carousel ----------------------------
-    println!(
-        "\ndelta carousel: the same broadcast day through refresh_carousel"
-    );
-    let car_speedup = day.cold_s / day.car_warm_s;
-    let car_need = if smoke { 0.0 } else { 4.0 };
-    let car_pass = car_speedup >= car_need;
-    let air_saved_pct = if day.air_naive > 0 {
-        100.0 * (1.0 - day.air_inc as f64 / day.air_naive as f64)
-    } else {
-        0.0
-    };
-    println!(
-        "  cold day {:>8.3} s   warm day {:>8.3} s   speedup {car_speedup:.2}x \
-         (need >= {car_need:.1}x)  [{}]",
-        day.cold_s,
-        day.car_warm_s,
-        if smoke {
-            "info"
-        } else if car_pass {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    println!(
-        "  slots: {} unchanged / {} delta / {} full;  air {} B vs naive {} B \
-         ({air_saved_pct:.1}% saved; full-width corpus churn makes deltas span every column)",
-        day.car_stats.unchanged,
-        day.car_stats.delta_slots,
-        day.car_stats.full_slots,
-        day.air_inc,
-        day.air_naive
-    );
-
-    // --- workload 4: warm restart from the disk store ----------------------
+    // --- workload 3: warm restart from the disk store ----------------------
     let store_dir = StoreDir::new();
     let restart_hour = 6u64;
     println!(
@@ -647,33 +557,14 @@ fn main() {
          {store_bytes} blob bytes"
     );
 
-    // --- workload 5: ticker carousel (counts only) -------------------------
-    let ticker = if smoke {
-        sonic_sim::carousel::run_ticker_carousel(Corpus::small(3), 0.05, 2, 0.15)
-    } else {
-        sonic_sim::carousel::run_ticker_carousel(Corpus::small(8), 0.1, 3, 0.15)
-    };
-    assert_eq!(ticker.decode_mismatches, 0, "ticker carousel must decode clean");
-    let ticker_saved_pct = if ticker.air_bytes_full_carousel > 0 {
-        100.0 * (1.0 - ticker.air_bytes_incremental as f64 / ticker.air_bytes_full_carousel as f64)
-    } else {
-        0.0
-    };
-    println!(
-        "\nticker carousel (partial-width updates): {} delta slots, air {} B vs naive {} B \
-         ({ticker_saved_pct:.1}% saved), {} columns patched from prior rasters, 0 mismatches",
-        ticker.delta_slots,
-        ticker.air_bytes_incremental,
-        ticker.air_bytes_full_carousel,
-        ticker.columns_patched
-    );
-
     // Machine-readable results at the repo root.
     let json = format!(
         "{{\n  \"bench\": \"perf_broadcast_cache\",\n  \"smoke\": {smoke},\n  \
          \"pages\": {n_pages},\n  \"scale\": {scale},\n  \
          \"baseline_pr3\": {{\n    \"strip_mutation_speedup\": 11.439,\n    \
          \"hourly_churn_speedup\": 2.144\n  }},\n  \
+         \"delta_carousel_removed\": {{\n    \"churn_day_air_saved_pct\": 0.00,\n    \
+         \"churn_day_delta_slots\": 341,\n    \"ticker_air_saved_pct\": 69.81\n  }},\n  \
          \"strip_mutation\": {{\n    \"mutated_pages\": {n_mutated},\n    \
          \"cold_s\": {best_cold:.6},\n    \"warm_s\": {best_warm:.6},\n    \
          \"speedup\": {speedup:.3},\n    \
@@ -686,18 +577,10 @@ fn main() {
          \"delta_hits\": {},\n    \"misses\": {},\n    \
          \"single_hour\": {{\n      \"cold_s\": {sh_cold:.6},\n      \
          \"warm_s\": {sh_warm:.6},\n      \"speedup\": {sh_speedup:.3}\n    }}\n  }},\n  \
-         \"delta_carousel\": {{\n    \"cold_day_s\": {:.6},\n    \
-         \"warm_day_s\": {:.6},\n    \"speedup\": {car_speedup:.3},\n    \
-         \"unchanged\": {},\n    \"delta_slots\": {},\n    \"full_slots\": {},\n    \
-         \"air_bytes_incremental\": {},\n    \"air_bytes_naive\": {},\n    \
-         \"air_saved_pct\": {air_saved_pct:.2}\n  }},\n  \
          \"warm_restart\": {{\n    \"hour\": {restart_hour},\n    \
          \"cold_boot_s\": {boot_s:.6},\n    \"restart_s\": {restart_s:.6},\n    \
          \"speedup\": {restart_speedup:.3},\n    \"promoted_pages\": {promoted},\n    \
-         \"store_entries\": {store_entries},\n    \"store_blob_bytes\": {store_bytes}\n  }},\n  \
-         \"ticker_carousel\": {{\n    \"delta_slots\": {},\n    \
-         \"air_bytes_incremental\": {},\n    \"air_bytes_naive\": {},\n    \
-         \"air_saved_pct\": {ticker_saved_pct:.2},\n    \"columns_patched\": {}\n  }}\n}}\n",
+         \"store_entries\": {store_entries},\n    \"store_blob_bytes\": {store_bytes}\n  }}\n}}\n",
         n_pages as f64 / best_cold,
         n_pages as f64 / best_warm,
         warm_stats.full_hits,
@@ -710,17 +593,6 @@ fn main() {
         day.churn_stats.full_hits,
         day.churn_stats.delta_hits,
         day.churn_stats.misses,
-        day.cold_s,
-        day.car_warm_s,
-        day.car_stats.unchanged,
-        day.car_stats.delta_slots,
-        day.car_stats.full_slots,
-        day.air_inc,
-        day.air_naive,
-        ticker.delta_slots,
-        ticker.air_bytes_incremental,
-        ticker.air_bytes_full_carousel,
-        ticker.columns_patched,
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -730,7 +602,7 @@ fn main() {
         Err(e) => println!("\ncould not write {}: {e}", out.display()),
     }
 
-    if !(pass && churn_pass && car_pass && restart_pass) {
+    if !(pass && churn_pass && restart_pass) {
         println!("perf_broadcast_cache: acceptance check FAILED");
         std::process::exit(1);
     }

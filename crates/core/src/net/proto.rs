@@ -135,10 +135,11 @@ pub enum Msg {
     },
 }
 
+// Byte 1 stays unassigned: it was the deleted delta-carousel slot, and a
+// stale sender's delta push must decode to `None`, not to another kind.
 fn slot_kind_byte(kind: SlotKind) -> u8 {
     match kind {
         SlotKind::Full => 0,
-        SlotKind::Delta => 1,
         SlotKind::Repair => 2,
     }
 }
@@ -146,7 +147,6 @@ fn slot_kind_byte(kind: SlotKind) -> u8 {
 fn slot_kind_from(b: u8) -> Option<SlotKind> {
     match b {
         0 => Some(SlotKind::Full),
-        1 => Some(SlotKind::Delta),
         2 => Some(SlotKind::Repair),
         _ => None,
     }
@@ -402,7 +402,7 @@ mod tests {
             id: 41,
             req: Request::PushFrames {
                 page_id: page.page_id,
-                kind: crate::server::scheduler::SlotKind::Repair,
+                kind: SlotKind::Repair,
                 frames: frames.clone(),
             },
         };
@@ -414,6 +414,32 @@ mod tests {
                 ..
             }) => assert_eq!(got, frames),
             other => panic!("bad decode: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn push_frames_with_unknown_slot_kind_decodes_to_none() {
+        let img = Raster::filled(6, 30, Rgb::new(10, 40, 90));
+        let page = SimplifiedPage::from_raster("https://w.pk/", &img, ClickMap::default(), 1, 2);
+        let msg = Msg::Req {
+            id: 42,
+            req: Request::PushFrames {
+                page_id: page.page_id,
+                kind: SlotKind::Full,
+                frames: page_to_frames(&page),
+            },
+        };
+        let mut bytes = Vec::new();
+        encode_msg(&msg, &mut bytes);
+        // Tag (1) + id (8) + request kind (1) + page id (4): the slot byte.
+        let at = 14;
+        assert_eq!(bytes[at], slot_kind_byte(SlotKind::Full));
+        assert_eq!(decode_msg(&bytes), Some(msg));
+        // 1 is the retired delta slot; 3..=255 were never assigned.
+        for b in std::iter::once(1u8).chain(3..=u8::MAX) {
+            let mut bad = bytes.clone();
+            bad[at] = b;
+            assert_eq!(decode_msg(&bad), None, "slot kind byte {b}");
         }
     }
 

@@ -25,7 +25,8 @@ pub enum JobClass {
     /// NACK repair bursts: retransmissions, cheapest to lose (the next
     /// carousel pass covers them).
     Repair = 0,
-    /// Delta carousel slots.
+    /// The deleted delta carousel's slots. Nothing submits this class; it
+    /// stays while the benchmark still reads [`RpcStats::shed_deltas`].
     Delta = 1,
     /// Full pages (carousel pushes, query results).
     Page = 2,
@@ -84,7 +85,8 @@ pub struct RpcStats {
     pub gave_up: u64,
     /// Repair-class requests shed at the queue.
     pub shed_repairs: u64,
-    /// Delta-class requests shed at the queue.
+    /// Delta-class requests shed at the queue (always 0: nothing submits
+    /// [`JobClass::Delta`]).
     pub shed_deltas: u64,
     /// Page-class requests shed at the queue.
     pub shed_pages: u64,

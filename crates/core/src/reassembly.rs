@@ -71,37 +71,6 @@ pub struct ReceivedPage {
     pub frame_loss: f64,
 }
 
-impl ReceivedPage {
-    /// Fills wholly-lost columns from a cached prior version of the page —
-    /// how a client that already holds version N renders a delta broadcast
-    /// of version N+1: the delta burst carries only the changed columns, so
-    /// every untouched column arrives as a total loss and is patched here
-    /// instead of interpolated.
-    ///
-    /// Only columns with *no* received pixels are patched (a partially
-    /// received column is new content and must win). Dimension mismatch
-    /// patches nothing. Returns the number of columns patched.
-    pub fn patch_from_prior(&mut self, prior: &Raster) -> usize {
-        if prior.width() != self.raster.width() || prior.height() != self.raster.height() {
-            return 0;
-        }
-        let (w, h) = (self.raster.width(), self.raster.height());
-        let mut patched = 0usize;
-        for x in 0..w {
-            let whole_column_lost = (0..h).all(|y| self.mask.is_lost(x, y));
-            if !whole_column_lost {
-                continue;
-            }
-            for y in 0..h {
-                self.raster.set(x, y, prior.get(x, y));
-                self.mask.set_received(x, y);
-            }
-            patched += 1;
-        }
-        patched
-    }
-}
-
 /// Why finalization failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssemblyError {

@@ -31,7 +31,7 @@
 //!   the site reloads the hour's carousel from the disk tier, skipping
 //!   the slots it had already aired before the crash;
 //! * under overload everything sheds in class order — repair bursts
-//!   before deltas before full pages, control traffic never — at three
+//!   before full pages, control traffic never — at three
 //!   independent bounded queues (SMS ingress, RPC client, site backlog).
 //!
 //! [`ArtifactStore`]: crate::server::store::ArtifactStore
@@ -79,9 +79,6 @@ pub struct SiteConfig {
     pub max_backlog_pages: usize,
     /// Backlog bytes above which repair pushes are shed (first to go).
     pub shed_repair_bytes: usize,
-    /// Backlog bytes above which delta pushes are shed (second to go;
-    /// must be ≥ the repair threshold for the class order to hold).
-    pub shed_delta_bytes: usize,
     /// Seconds received bytes may sit undecoded before the request decoder
     /// abandons its pending frame and re-scans (torn-frame livelock guard).
     pub stall_resync_s: f64,
@@ -94,7 +91,6 @@ impl Default for SiteConfig {
             rate_bps: 80_000.0,
             max_backlog_pages: 512,
             shed_repair_bytes: 256 << 10,
-            shed_delta_bytes: 512 << 10,
             stall_resync_s: 10.0,
         }
     }
@@ -211,8 +207,7 @@ impl SiteNode {
             } => {
                 let backlog = self.scheduler.backlog_bytes();
                 let shed = self.scheduler.backlog_pages() >= self.config.max_backlog_pages
-                    || (kind == SlotKind::Repair && backlog > self.config.shed_repair_bytes)
-                    || (kind == SlotKind::Delta && backlog > self.config.shed_delta_bytes);
+                    || (kind == SlotKind::Repair && backlog > self.config.shed_repair_bytes);
                 if shed {
                     self.stats.refused_overload += 1;
                     return Response::Refused {
@@ -1013,7 +1008,6 @@ mod tests {
                 rate_bps: 8_000.0,
                 max_backlog_pages: 1_000,
                 shed_repair_bytes: 2_000,
-                shed_delta_bytes: 100_000,
                 ..SiteConfig::default()
             },
             None,

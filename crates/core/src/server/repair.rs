@@ -263,9 +263,7 @@ impl RepairPlanner {
             };
             if covered(site_id, page_id) {
                 // A queued full broadcast covers any range, and an in-flight
-                // repair burst should air before more budget is spent. A
-                // queued delta slot does NOT count — its columns are the
-                // hour's dirty set, not this client's loss set.
+                // repair burst should air before more budget is spent.
                 self.pending.remove(&key);
                 continue;
             }

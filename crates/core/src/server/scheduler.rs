@@ -12,14 +12,11 @@ use crate::page::SimplifiedPage;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// What a queue entry carries for its page — the delta-carousel slotting.
+/// What a queue entry carries for its page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotKind {
     /// The complete frame sequence of the page.
     Full,
-    /// Only the page's changed columns (plus meta), diffed against the
-    /// version clients already hold.
-    Delta,
     /// A targeted NACK-repair burst (subset of columns/ranges).
     Repair,
 }
@@ -39,7 +36,7 @@ struct Queued {
     next: usize,
     /// Remaining airtime bytes.
     remaining_bytes: usize,
-    /// Whether this entry is a full page, a carousel delta or a repair.
+    /// Whether this entry is a full page or a repair.
     kind: SlotKind,
 }
 
@@ -104,7 +101,7 @@ impl BroadcastScheduler {
     /// seconds until its broadcast completes.
     pub fn enqueue(&mut self, page: impl Into<Arc<SimplifiedPage>>, now_s: f64) -> f64 {
         let page = page.into();
-        if let Some(eta) = self.eta_if_queued(page.page_id) {
+        if let Some(eta) = self.eta_for(page.page_id) {
             return eta;
         }
         let frames = Arc::new(page_to_frames(&page));
@@ -117,8 +114,8 @@ impl BroadcastScheduler {
     /// Dedupes by page id like [`enqueue`](Self::enqueue): a re-push of an
     /// unchanged page — same url and version, hence same id and identical
     /// frames — returns the existing entry's ETA instead of doubling the
-    /// backlog. A full page also supersedes any not-yet-started delta or
-    /// repair burst for the same page id (it is a superset of both), so a
+    /// backlog. A full page also supersedes any not-yet-started repair
+    /// burst for the same page id (it is a superset of any range), so a
     /// NACK repair queued the same tick cannot double-schedule the page.
     pub fn enqueue_prechunked(
         &mut self,
@@ -129,23 +126,9 @@ impl BroadcastScheduler {
         self.enqueue_frames(page.page_id, SlotKind::Full, frames, now_s)
     }
 
-    /// Enqueues only a page's delta frames (meta + changed columns) — the
-    /// incremental carousel slot. Any queued entry for the same page id
-    /// (full, delta or repair) already covers at least this content's
-    /// airtime, so the enqueue dedupes against all of them.
-    pub fn enqueue_delta(
-        &mut self,
-        page: Arc<SimplifiedPage>,
-        delta_frames: Arc<Vec<Frame>>,
-        now_s: f64,
-    ) -> f64 {
-        self.enqueue_frames(page.page_id, SlotKind::Delta, delta_frames, now_s)
-    }
-
     /// Enqueues a targeted repair burst. A queued *full* page serves the
     /// repair for free (it is a superset of any range), and an existing
-    /// repair entry coalesces; a queued delta does not satisfy it — the
-    /// delta's columns are the hour's dirty set, not the client's loss set.
+    /// repair entry coalesces.
     pub fn enqueue_repair(
         &mut self,
         page: Arc<SimplifiedPage>,
@@ -159,8 +142,8 @@ impl BroadcastScheduler {
     /// path: a cluster site handed a `PushFrames` RPC has frames and an id
     /// but no page object. Dedupe/supersede rules match the page-based
     /// enqueues: a full slot dedupes against a queued full and supersedes
-    /// not-yet-started delta/repair entries; a delta dedupes against any
-    /// queued entry; a repair dedupes against queued full/repair entries.
+    /// not-yet-started repair entries; a repair dedupes against queued
+    /// full/repair entries.
     pub fn enqueue_frames(
         &mut self,
         page_id: u32,
@@ -170,7 +153,6 @@ impl BroadcastScheduler {
     ) -> f64 {
         let existing = match kind {
             SlotKind::Full => self.eta_kind_for(page_id, SlotKind::Full),
-            SlotKind::Delta => self.eta_if_queued(page_id),
             SlotKind::Repair => self
                 .eta_kind_for(page_id, SlotKind::Full)
                 .or_else(|| self.eta_kind_for(page_id, SlotKind::Repair)),
@@ -196,13 +178,13 @@ impl BroadcastScheduler {
         self.backlog_bytes as f64 * 8.0 / self.rate_bps
     }
 
-    /// Drops not-yet-started delta/repair entries for `page_id` — a full
-    /// page being enqueued covers both. Entries mid-emission are left to
+    /// Drops not-yet-started repair entries for `page_id` — a full page
+    /// being enqueued covers them. Entries mid-emission are left to
     /// finish (their already-aired frames are idempotent on receivers).
     fn remove_superseded(&mut self, page_id: u32) {
         let backlog = &mut self.backlog_bytes;
         self.queue.retain(|q| {
-            let drop = q.page_id == page_id && q.kind != SlotKind::Full && q.next == 0;
+            let drop = q.page_id == page_id && q.kind == SlotKind::Repair && q.next == 0;
             if drop {
                 *backlog -= q.remaining_bytes;
             }
@@ -221,12 +203,6 @@ impl BroadcastScheduler {
         bytes as f64 * 8.0 / self.rate_bps
     }
 
-    /// ETA of a page already in the queue, any entry kind (the dedupe path).
-    fn eta_if_queued(&self, page_id: u32) -> Option<f64> {
-        let pos = self.queue.iter().position(|q| q.page_id == page_id)?;
-        Some(self.eta_through(pos))
-    }
-
     /// ETA of a queued entry of a specific kind.
     fn eta_kind_for(&self, page_id: u32, kind: SlotKind) -> Option<f64> {
         let pos = self
@@ -236,14 +212,16 @@ impl BroadcastScheduler {
         Some(self.eta_through(pos))
     }
 
-    /// ETA in seconds for a queued url (None if not queued).
+    /// ETA in seconds of the first queued entry for `page_id`, any kind
+    /// (None if not queued).
     pub fn eta_for(&self, page_id: u32) -> Option<f64> {
-        self.eta_if_queued(page_id)
+        let pos = self.queue.iter().position(|q| q.page_id == page_id)?;
+        Some(self.eta_through(pos))
     }
 
     /// ETA of a queued *full-page* entry. Repair planning uses this: only a
-    /// full page is guaranteed to cover an arbitrary NACK range, so neither
-    /// a delta slot nor another repair should count as already-served.
+    /// full page is guaranteed to cover an arbitrary NACK range, so another
+    /// repair should not count as already-served.
     pub fn eta_full_for(&self, page_id: u32) -> Option<f64> {
         self.eta_kind_for(page_id, SlotKind::Full)
     }
@@ -426,53 +404,22 @@ mod tests {
     }
 
     #[test]
-    fn repair_enqueues_coalesce_but_delta_does_not_serve_them() {
+    fn repair_enqueues_coalesce() {
         let mut s = BroadcastScheduler::new(80_000.0);
         let p = Arc::new(page("a", 60));
         let all = crate::chunker::page_to_frames(&p);
-        let delta: Arc<Vec<Frame>> = Arc::new(all.iter().take(4).cloned().collect());
         let repair: Arc<Vec<Frame>> = Arc::new(all.iter().skip(4).take(3).cloned().collect());
-        s.enqueue_delta(p.clone(), delta.clone(), 0.0);
-        assert!(s.eta_full_for(p.page_id).is_none(), "delta is not a full slot");
-        // A repair for ranges the delta may not carry still schedules.
         s.enqueue_repair(p.clone(), repair.clone(), 0.0);
-        assert_eq!(s.queue_len(), 2);
+        assert!(
+            s.eta_full_for(p.page_id).is_none(),
+            "a repair is not a full slot"
+        );
         assert!(s.repair_queued(p.page_id));
         // A second repair for the same page coalesces.
         let before = s.backlog_bytes();
         s.enqueue_repair(p.clone(), repair, 1.0);
         assert_eq!(s.backlog_bytes(), before);
-        assert_eq!(s.queue_len(), 2);
-    }
-
-    #[test]
-    fn delta_enqueue_dedupes_against_any_queued_entry_and_drains_in_order() {
-        let mut s = BroadcastScheduler::new(80_000.0);
-        let p = Arc::new(page("a", 60));
-        let all = Arc::new(crate::chunker::page_to_frames(&p));
-        let delta: Arc<Vec<Frame>> = Arc::new(all.iter().take(5).cloned().collect());
-        let eta = s.enqueue_delta(p.clone(), delta.clone(), 0.0);
-        assert!(eta > 0.0);
-        assert_eq!(s.backlog_bytes(), delta.len() * FRAME_SIZE);
-        // Re-push of the delta dedupes.
-        let eta2 = s.enqueue_delta(p.clone(), delta.clone(), 1.0);
-        assert!((eta2 - eta).abs() < 1e-9);
         assert_eq!(s.queue_len(), 1);
-        // With a full entry queued, a delta for the same page is covered.
-        let q = Arc::new(page("b", 60));
-        let q_frames = Arc::new(crate::chunker::page_to_frames(&q));
-        s.enqueue_prechunked(q.clone(), q_frames.clone(), 2.0);
-        let before = s.backlog_bytes();
-        s.enqueue_delta(q.clone(), delta.clone(), 2.0);
-        assert_eq!(s.backlog_bytes(), before);
-        // Everything drains FIFO: the delta frames, then the full page's.
-        let mut got = Vec::new();
-        for _ in 0..400 {
-            got.extend(s.advance(0.05));
-        }
-        let want: Vec<Frame> = delta.iter().chain(q_frames.iter()).cloned().collect();
-        assert_eq!(got, want);
-        assert_eq!(s.backlog_bytes(), 0);
     }
 
     #[test]

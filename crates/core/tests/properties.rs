@@ -6,11 +6,10 @@
 
 use proptest::prelude::*;
 use sonic_core::chunker::page_to_frames;
-use sonic_core::frame::Frame;
 use sonic_core::link;
 use sonic_core::page::SimplifiedPage;
 use sonic_core::server::cache::ArtifactCache;
-use sonic_core::server::pipeline::{carousel_page_with, CarouselSlot, RenderedContent};
+use sonic_core::server::pipeline::{refresh_page_with, RefreshPath, RenderedContent};
 use sonic_image::clickmap::ClickMap;
 use sonic_image::raster::{Raster, Rgb};
 use sonic_image::strip;
@@ -114,14 +113,14 @@ proptest! {
         }
     }
 
-    /// The incremental carousel's delta slot is a bit-exact subset of a
-    /// cold full rebuild: the cached artifact (next revolution's delta
-    /// basis and the repair source) matches the cold artifact frame-for-
-    /// frame and sample-for-sample, the slot's frames are exactly the cold
-    /// sequence filtered to the meta bracket plus changed columns, and the
-    /// slot's audio equals a direct modulation of those frames.
+    /// The refresh driver's `Delta` path — [`refresh_page_with`] against a
+    /// cached basis of the same dimensions — caches and returns an artifact
+    /// (the one that airs, next hour's splice basis and the repair source)
+    /// that matches a cold build of the mutated content frame-for-frame and
+    /// sample-for-sample. An empty edit set is a raster hit instead and
+    /// serves the cached artifact, which equals the cold build as well.
     #[test]
-    fn carousel_delta_slot_matches_cold_rebuild(
+    fn refresh_delta_path_matches_cold_rebuild(
         w in 8usize..32,
         h in 16usize..64,
         seed in any::<u32>(),
@@ -134,64 +133,42 @@ proptest! {
         let mut mutated = base.clone();
         mutate_columns(&mut mutated, &edits);
         // Same version/ttl both hours: the content (not the clock) is what
-        // changes, so an empty edit set legitimately airs nothing.
+        // changes, so an empty edit set is a legitimate raster hit.
         let content = |raster: &Raster| RenderedContent {
-            url: "https://prop.pk/carousel".into(),
+            url: "https://prop.pk/refresh".into(),
             raster: raster.clone(),
             clickmap: ClickMap::default(),
             version: 9,
             ttl_hours: 6,
         };
 
-        // Warm: prime at hour 0, then the mutated revolution at hour 1.
+        // Warm: prime at hour 0, then the mutated content at hour 1.
         let mut warm = ArtifactCache::unbounded();
-        let item0 = carousel_page_with(
-            &mut warm, id, 0xA0, 0, &profile, || content(&base));
-        prop_assert!(matches!(item0.slot, CarouselSlot::Full));
-        let item1 = carousel_page_with(
-            &mut warm, id, 0xA1, 1, &profile, || content(&mutated));
+        let (_, path0) = refresh_page_with(
+            &mut warm, id, 0xA0, 0, Some(&profile), || content(&base));
+        prop_assert_eq!(path0, RefreshPath::Cold);
+        let (art1, path1) = refresh_page_with(
+            &mut warm, id, 0xA1, 1, Some(&profile), || content(&mutated));
 
         // Cold: the mutated content built with no prior state.
         let mut cold_cache = ArtifactCache::unbounded();
-        let cold = carousel_page_with(
-            &mut cold_cache, id, 0xA1, 1, &profile, || content(&mutated));
-        prop_assert!(matches!(cold.slot, CarouselSlot::Full));
+        let (cold, cold_path) = refresh_page_with(
+            &mut cold_cache, id, 0xA1, 1, Some(&profile), || content(&mutated));
+        prop_assert_eq!(cold_path, RefreshPath::Cold);
 
         let changed = strip::diff_columns(
             &strip::column_hashes(&base), &strip::column_hashes(&mutated));
-
-        match &item1.slot {
-            CarouselSlot::Unchanged => {
-                // Only legitimate when no column actually changed; the
-                // cached artifact already equals the cold build bit for bit.
-                prop_assert!(changed.is_empty());
-                prop_assert_eq!(&*item1.artifact.frames, &*cold.artifact.frames);
-                assert_audio_bits_eq(&item1.artifact.audio, &cold.artifact.audio);
-            }
-            CarouselSlot::Delta { frames, audio, changed_columns } => {
-                prop_assert_eq!(*changed_columns, changed.len());
-                // The cached artifact — what next hour splices against and
-                // what repair requests serve — matches the cold build.
-                prop_assert_eq!(&*item1.artifact.frames, &*cold.artifact.frames);
-                assert_audio_bits_eq(&item1.artifact.audio, &cold.artifact.audio);
-                // The slot's frames are exactly the cold sequence filtered
-                // to meta frames plus changed columns' chunks.
-                let expected: Vec<Frame> = cold
-                    .artifact
-                    .frames
-                    .iter()
-                    .filter(|f| match f {
-                        Frame::Meta { .. } => true,
-                        Frame::Strip { column, .. } => changed.contains(column),
-                    })
-                    .cloned()
-                    .collect();
-                prop_assert_eq!(&**frames, &expected);
-                // And the slot's audio is a pure modulation of them.
-                let direct = link::modulate(&profile, frames);
-                assert_audio_bits_eq(audio, &direct);
-            }
-            CarouselSlot::Full => prop_assert!(false, "a delta basis existed"),
-        }
+        let want = if changed.is_empty() { RefreshPath::FullHit } else { RefreshPath::Delta };
+        prop_assert_eq!(path1, want);
+        prop_assert_eq!(art1.page.page_id, cold.page.page_id);
+        prop_assert_eq!(&art1.page.strips.strips, &cold.page.strips.strips);
+        prop_assert_eq!(&*art1.frames, &*cold.frames);
+        assert_audio_bits_eq(&art1.audio, &cold.audio);
+        prop_assert_eq!(&art1.bursts.spans, &cold.bursts.spans);
+        // A second refresh of the same content serves the cached artifact.
+        let (again, path2) = refresh_page_with(
+            &mut warm, id, 0xA1, 1, Some(&profile), || content(&mutated));
+        prop_assert_eq!(path2, RefreshPath::FullHit);
+        prop_assert!(std::sync::Arc::ptr_eq(&again.audio, &art1.audio));
     }
 }

@@ -1,19 +1,22 @@
 //! Crash-safety and determinism tests for the persistent tiered artifact
 //! store: put/load bit-identity, seeded corruption of the index log
 //! recovering exactly the CRC-valid prefix, same-seed byte-identical
-//! on-disk state, and live-byte budget eviction.
+//! on-disk state, live-byte budget eviction, and a warm restart through
+//! the refresh driver promoting every page from disk.
 
 use proptest::prelude::*;
 use sonic_core::chunker::page_to_frames;
 use sonic_core::link;
 use sonic_core::page::SimplifiedPage;
-use sonic_core::server::cache::Artifact;
+use sonic_core::server::cache::{share_store, Artifact, ArtifactCache, TieredCache};
+use sonic_core::server::pipeline::{refresh_pages, PageJob};
+use sonic_core::server::render::Renderer;
 use sonic_core::server::store::{ArtifactStore, RECORD_LEN};
 use sonic_image::clickmap::ClickMap;
 use sonic_image::raster::{Raster, Rgb};
 use sonic_image::strip;
 use sonic_modem::profile::Profile;
-use sonic_pagegen::PageId;
+use sonic_pagegen::{Corpus, PageId};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -226,6 +229,50 @@ fn corrupt_blob_fails_load_without_panicking() {
     assert!(store.load(id(0)).is_none(), "corrupt blob must not decode");
     assert_eq!(store.stats.corrupt_blobs, 1);
     assert_eq!(store.len(), 0, "corrupt entry is dropped");
+}
+
+/// Cold-boots an hour's corpus into a disk store through `refresh_pages`,
+/// drops all RAM state, reopens the store (index-log rebuild) and refreshes
+/// the same hour through a fresh RAM tier: every page must promote from
+/// disk, none may be rebuilt.
+#[test]
+fn warm_restart_promotes_every_page_with_zero_misses() {
+    let dir = TempDir::new("warm-restart");
+    let renderer = Renderer::new(Corpus::small(3), 0.05);
+    let profile = Profile::sonic_10k();
+    let jobs: Vec<PageJob> = renderer
+        .corpus()
+        .pages()
+        .into_iter()
+        .map(|id| PageJob { id, hour: 6 })
+        .collect();
+
+    // Cold boot onto an empty store.
+    let cold = {
+        let store = share_store(ArtifactStore::open(dir.path(), u64::MAX).unwrap());
+        let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
+        let (cold, _) = refresh_pages(&renderer, &mut tiered, &jobs, Some(&profile));
+        assert_eq!(tiered.ram.stats.misses, jobs.len() as u64);
+        cold
+    }; // RAM tier and store handle drop here: nothing survives but the files.
+
+    // Reopen from the index log: the refresh must promote, not render.
+    let store = share_store(ArtifactStore::open(dir.path(), u64::MAX).unwrap());
+    {
+        let s = store.lock();
+        assert_eq!(s.len(), jobs.len());
+        assert!(s.live_bytes() > 0);
+    }
+    let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
+    let (warm, stats) = refresh_pages(&renderer, &mut tiered, &jobs, Some(&profile));
+    assert_eq!(tiered.ram.stats.disk_promotions, jobs.len() as u64);
+    assert_eq!(tiered.ram.stats.misses, 0);
+    assert_eq!(stats.full_hits, jobs.len());
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(w.page.page_id, c.page.page_id);
+        assert_eq!(*w.frames, *c.frames);
+        assert_eq!(audio_bits(&w.audio), audio_bits(&c.audio));
+    }
 }
 
 proptest! {

@@ -405,136 +405,6 @@ impl BlockFirC {
     }
 }
 
-/// FIR filter followed by decimation by an integer factor.
-///
-/// Only the retained output samples are computed: the anti-alias dot product
-/// runs once per *output* sample over a linearized history window, so the
-/// cost is `taps / factor` MACs per input sample instead of the `taps` a
-/// filter-then-drop structure pays. Accumulation order matches the
-/// filter-everything reference, so outputs are bit-identical to the
-/// direct-form [`Fir`] sampled at the kept positions.
-#[derive(Debug, Clone)]
-pub struct Decimator {
-    taps: Vec<f32>,
-    factor: usize,
-    /// Samples until the next retained output (0 = the next input produces
-    /// an output).
-    phase: usize,
-    /// The `taps − 1` most recent inputs (oldest→newest).
-    tail: Vec<f32>,
-    ext: Vec<f32>,
-}
-
-impl Decimator {
-    /// Creates a decimator with an anti-alias low-pass sized for `factor`.
-    ///
-    /// # Panics
-    /// Panics if `factor == 0`.
-    pub fn new(factor: usize, taps: usize) -> Self {
-        assert!(factor > 0, "decimation factor must be positive");
-        let cutoff = 0.45 / factor as f64;
-        let taps = design_lowpass(taps, cutoff);
-        let history = taps.len() - 1;
-        Decimator {
-            taps,
-            factor,
-            phase: 0,
-            tail: vec![0.0; history],
-            ext: Vec::new(),
-        }
-    }
-
-    /// Decimation factor.
-    pub fn factor(&self) -> usize {
-        self.factor
-    }
-
-    /// Processes a block, appending kept samples to `out`.
-    pub fn process_into(&mut self, input: &[f32], out: &mut Vec<f32>) {
-        if input.is_empty() {
-            return;
-        }
-        let n = self.taps.len();
-        let m = n - 1;
-        self.ext.clear();
-        self.ext.reserve(m + input.len());
-        self.ext.extend_from_slice(&self.tail);
-        self.ext.extend_from_slice(input);
-        // Kept positions are input indices phase, phase+factor, …
-        let kept = if self.phase < input.len() {
-            (input.len() - self.phase).div_ceil(self.factor)
-        } else {
-            0
-        };
-        let start = out.len();
-        out.resize(start + kept, 0.0);
-        let o = &mut out[start..];
-        let mut i = self.phase;
-        let mut j = 0usize;
-        while i < input.len() {
-            let window = &self.ext[i..i + n];
-            let mut acc = 0.0f32;
-            for (&t, &x) in self.taps.iter().zip(window.iter().rev()) {
-                acc += t * x;
-            }
-            o[j] = acc;
-            j += 1;
-            i += self.factor;
-        }
-        self.phase = i - input.len();
-        let e = self.ext.len();
-        self.tail.copy_from_slice(&self.ext[e - m..]);
-    }
-}
-
-/// Zero-stuffing interpolator: upsamples by an integer factor with an
-/// image-rejection low-pass, used by the FM modulator to climb from the
-/// audio rate to the RF rate.
-#[derive(Debug, Clone)]
-pub struct Interpolator {
-    fir: Fir,
-    factor: usize,
-}
-
-impl Interpolator {
-    /// Creates an interpolator for `factor`× upsampling.
-    ///
-    /// # Panics
-    /// Panics if `factor == 0`.
-    pub fn new(factor: usize, taps: usize) -> Self {
-        assert!(factor > 0, "interpolation factor must be positive");
-        let cutoff = 0.45 / factor as f64;
-        let mut coeffs = design_lowpass(taps, cutoff);
-        // Compensate the 1/factor energy loss of zero stuffing.
-        for c in &mut coeffs {
-            *c *= factor as f32;
-        }
-        Interpolator {
-            fir: Fir::new(coeffs),
-            factor,
-        }
-    }
-
-    /// Processes a block, appending `input.len() * factor` samples to `out`.
-    pub fn process_into(&mut self, input: &[f32], out: &mut Vec<f32>) {
-        let start = out.len();
-        out.resize(start + input.len() * self.factor, 0.0);
-        let o = &mut out[start..];
-        // Same `fir.push` call order as the original append loop, so the
-        // streamed filter state (and output) is unchanged. `Fir::push`
-        // streams one sample through the fixed-size delay line — it never
-        // allocates — but R1's token matcher cannot tell it from `Vec::push`.
-        for (j, &x) in input.iter().enumerate() {
-            // lint: allow(no-alloc)
-            o[j * self.factor] = self.fir.push(x);
-            for k in 1..self.factor {
-                // lint: allow(no-alloc)
-                o[j * self.factor + k] = self.fir.push(0.0);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,40 +465,6 @@ mod tests {
         fir.push(5.0);
         fir.reset();
         assert_eq!(fir.push(0.0), 0.0);
-    }
-
-    #[test]
-    fn decimator_keeps_one_in_n() {
-        let mut d = Decimator::new(4, 31);
-        let mut out = Vec::new();
-        d.process_into(&vec![1.0; 100], &mut out);
-        assert_eq!(out.len(), 25);
-    }
-
-    #[test]
-    fn interpolator_expands_by_factor() {
-        let mut i = Interpolator::new(3, 31);
-        let mut out = Vec::new();
-        i.process_into(&[1.0, 2.0], &mut out);
-        assert_eq!(out.len(), 6);
-    }
-
-    #[test]
-    fn interpolate_then_decimate_preserves_tone() {
-        let factor = 5;
-        let mut up = Interpolator::new(factor, 151);
-        let mut down = Decimator::new(factor, 151);
-        let tone: Vec<f32> = (0..2000)
-            .map(|i| (2.0 * PI * 0.01 * i as f64).sin() as f32)
-            .collect();
-        let mut hi = Vec::new();
-        up.process_into(&tone, &mut hi);
-        let mut back = Vec::new();
-        down.process_into(&hi, &mut back);
-        // Skip transients, compare energies.
-        let e_in: f64 = tone[500..1500].iter().map(|&x| (x as f64).powi(2)).sum();
-        let e_out: f64 = back[500..1500].iter().map(|&x| (x as f64).powi(2)).sum();
-        assert!((e_in - e_out).abs() / e_in < 0.05, "{e_in} vs {e_out}");
     }
 
     #[test]
@@ -743,27 +579,6 @@ mod tests {
         f.process(&mut fresh);
         for (g, w) in fresh.iter().zip(&want) {
             assert!((g - w).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn decimator_matches_filter_then_drop() {
-        let factor = 5;
-        let taps = 31;
-        let sig = noise(1000, 11);
-        // Reference: full filter, keep every `factor`-th output.
-        let cutoff = 0.45 / factor as f64;
-        let mut full = sig.clone();
-        Fir::new(design_lowpass(taps, cutoff)).process_reference(&mut full);
-        let want: Vec<f32> = full.iter().step_by(factor).copied().collect();
-        let mut d = Decimator::new(factor, taps);
-        let mut got = Vec::new();
-        // Split at a non-multiple of the factor to exercise phase carry.
-        d.process_into(&sig[..333], &mut got);
-        d.process_into(&sig[333..], &mut got);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits(), "decimator must be bit-exact");
         }
     }
 }

@@ -12,7 +12,7 @@
 //! * [`complex`] — minimal `C32` complex type used throughout the stack.
 //! * [`fft`] — radix-2 iterative Cooley-Tukey FFT with cached plans.
 //! * [`window`] — Hann / Hamming / Blackman / rectangular window functions.
-//! * [`fir`] — windowed-sinc FIR design, streaming filters, decimators.
+//! * [`fir`] — windowed-sinc FIR design and streaming filters.
 //! * [`iir`] — biquad sections and first-order shelves (FM de-/pre-emphasis).
 //! * [`resample`] — polyphase rational resampler.
 //! * [`osc`] — numerically controlled oscillator and quadrature mixer.

@@ -8,8 +8,6 @@
 //!   accounting (Figures 4a and the RSSI sweep).
 //! * [`pool`] — deterministic worker pool the sweeps fan out on.
 //! * [`broadcast`] — hourly backlog recurrence (Figure 4c).
-//! * [`carousel`] — incremental delta-carousel and warm-restart loops over
-//!   the tiered artifact store.
 //! * [`study`] — the 151-rater perceptual panel model (Figure 5).
 //! * [`workload`], [`des`] — request workloads and a small event simulator
 //!   for day-in-the-life runs.
@@ -27,7 +25,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod broadcast;
-pub mod carousel;
 pub mod chaos;
 pub mod cluster;
 pub mod des;
